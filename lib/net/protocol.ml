@@ -6,11 +6,13 @@ type reply =
   | Bye
 
 let clean s =
-  String.concat "; "
-    (List.filter
-       (fun part -> part <> "")
-       (String.split_on_char '\n'
-          (String.concat "" (String.split_on_char '\r' s))))
+  if not (String.exists (fun c -> c = '\n' || c = '\r') s) then s
+  else
+    String.concat "; "
+      (List.filter
+         (fun part -> part <> "")
+         (String.split_on_char '\n'
+            (String.concat "" (String.split_on_char '\r' s))))
 
 let strip_request line =
   let line =
@@ -32,15 +34,23 @@ let valid_trace_id id =
          | _ -> false)
        id
 
+let ok_header ~degraded ~trace count =
+  Printf.sprintf "OK %d%s%s\n" count
+    (if degraded then " degraded" else "")
+    (match trace with
+    | Some id when valid_trace_id id -> " trace=" ^ id
+    | _ -> "")
+
 let encode = function
   | Ok_reply { degraded; trace; payload } ->
-      let buf = Buffer.create 64 in
-      Buffer.add_string buf
-        (Printf.sprintf "OK %d%s%s\n" (List.length payload)
-           (if degraded then " degraded" else "")
-           (match trace with
-           | Some id when valid_trace_id id -> " trace=" ^ id
-           | _ -> ""));
+      let header = ok_header ~degraded ~trace (List.length payload) in
+      let buf =
+        Buffer.create
+          (List.fold_left
+             (fun acc line -> acc + String.length line + 1)
+             (String.length header) payload)
+      in
+      Buffer.add_string buf header;
       List.iter
         (fun line ->
           Buffer.add_string buf (clean line);
@@ -51,6 +61,9 @@ let encode = function
   | Busy reason -> "BUSY " ^ clean reason ^ "\n"
   | Pong -> "PONG\n"
   | Bye -> "BYE\n"
+
+let encode_rows ~degraded ~trace rel =
+  Tsql.Pretty.framed ~header:(ok_header ~degraded ~trace) rel
 
 type header =
   | H_ok of { count : int; degraded : bool; trace : string option }

@@ -57,7 +57,7 @@ type reply =
 val clean : string -> string
 (** Make a string safe to embed in a single protocol line: newlines and
     carriage returns become ["; "] / [""], so an error message can never
-    break the framing. *)
+    break the framing.  A string holding neither is returned as is. *)
 
 val strip_request : string -> string
 (** Normalize one received request line: strip the trailing ['\r'] (if
@@ -70,6 +70,13 @@ val encode : reply -> string
 (** The reply's wire form, ['\n']-terminated (header line plus payload
     lines for [Ok_reply]).  An invalid trace id is dropped rather than
     allowed to break the header. *)
+
+val encode_rows :
+  degraded:bool -> trace:string option -> Relation.Trel.t -> string
+(** A result relation's [OK] reply, rendered and framed in one pass:
+    the same bytes as [encode (Ok_reply {degraded; trace; payload})]
+    where [payload] is the non-empty lines of
+    [Tsql.Pretty.result_to_string rel]. *)
 
 type header =
   | H_ok of { count : int; degraded : bool; trace : string option }

@@ -84,10 +84,13 @@ type job = {
   j_queue : int;
 }
 
-(* A worker's finished reply, travelling back to the event loop. *)
+(* A worker's finished reply, travelling back to the event loop already
+   in wire form: the loop only queues its bytes. *)
 type completion = {
   c_conn : int;
-  c_reply : Protocol.reply;
+  c_wire : string;
+  c_error : bool;  (* answered ERR *)
+  c_degraded : bool;  (* answered OK degraded *)
   c_kind : string;
   c_statement : string;
   c_elapsed_us : int;
@@ -103,8 +106,8 @@ type conn = {
   c_tcp : bool;  (* close fds on teardown *)
   c_inbuf : Buffer.t;
   mutable c_pending : string list;  (* complete lines awaiting dispatch *)
-  mutable c_out : string;
-  mutable c_out_off : int;
+  c_out : string Queue.t;  (* encoded replies not yet fully written *)
+  mutable c_out_off : int;  (* bytes of the queue's head already written *)
   mutable c_outstanding : bool;  (* a worker owns this conn's request *)
   mutable c_last_us : int;
   mutable c_eof : bool;  (* no more input; still serving buffered lines *)
@@ -305,11 +308,30 @@ let refresh_self_relations t conn =
 
 (* ---- worker domains ---- *)
 
-let payload_of_outcome = function
-  | Tsql.Session.Ack msg -> String.split_on_char '\n' msg
-  | Tsql.Session.Rows rel ->
-      let text = Tsql.Pretty.result_to_string rel in
-      List.filter (fun l -> l <> "") (String.split_on_char '\n' text)
+(* A statement's reply in wire form.  A result relation is rendered and
+   framed in one pass under a "format" span, so traces show the reply
+   cost next to the engine's. *)
+let encode_reply ~trace = function
+  | Ok (Tsql.Session.Rows rel, degraded) ->
+      let span =
+        Obs.Trace.open_span ?parent:(Obs.Trace.current ()) ~trace
+          ~attrs:[ ("rows", string_of_int (Relation.Trel.cardinality rel)) ]
+          "format"
+      in
+      let wire = Protocol.encode_rows ~degraded ~trace:(Some trace) rel in
+      Obs.Trace.close_span
+        ~attrs:[ ("bytes", string_of_int (String.length wire)) ]
+        span;
+      wire
+  | Ok (Tsql.Session.Ack msg, degraded) ->
+      Protocol.encode
+        (Protocol.Ok_reply
+           {
+             degraded;
+             trace = Some trace;
+             payload = String.split_on_char '\n' msg;
+           })
+  | Error msg -> Protocol.encode (Protocol.Err msg)
 
 (* Execute one admitted request.  Runs on a worker domain: the only
    shared state it touches is the job's own session (one outstanding
@@ -324,16 +346,13 @@ let execute t job =
     | Some ms ->
         Unix.sleepf (ms /. 1000.);
         ( "sleep",
-          Protocol.Ok_reply
-            {
-              degraded = job.j_degraded;
-              trace = Some job.j_trace;
-              payload = [ Printf.sprintf "slept %g ms" ms ];
-            },
+          Ok
+            ( Tsql.Session.Ack (Printf.sprintf "slept %g ms" ms),
+              job.j_degraded ),
           None )
     | None -> (
         match Tsql.Parser.parse_statement job.j_line with
-        | Error msg -> ("parse-error", Protocol.Err msg, None)
+        | Error msg -> ("parse-error", Error msg, None)
         | Ok stmt -> (
             let kind = Tsql.Serve.kind_of stmt in
             (* Degraded requests trade the planned fast path for a
@@ -368,34 +387,36 @@ let execute t job =
                   || Tsql.Session.last_degradations job.j_session > 0
                 in
                 ( kind,
-                  Protocol.Ok_reply
-                    {
-                      degraded;
-                      trace = Some job.j_trace;
-                      payload = payload_of_outcome outcome;
-                    },
+                  Ok (outcome, degraded),
                   Tsql.Session.last_join job.j_session )
-            | Error msg -> (kind, Protocol.Err msg, None)
+            | Error msg -> (kind, Error msg, None)
             | exception e ->
                 (* A worker must never die: any stray evaluation
                    exception becomes a structured per-statement error. *)
                 ( kind,
-                  Protocol.Err ("internal error: " ^ Printexc.to_string e),
+                  Error ("internal error: " ^ Printexc.to_string e),
                   None )))
   in
   (* Run under an "execute" span parented to the request root, so every
      engine/storage/join span the statement records on this domain (and
-     on Parallel shard domains) nests under the request's trace. *)
-  let kind, reply, join =
+     on Parallel shard domains) nests under the request's trace.  The
+     reply is encoded here too, spreading that work over the workers. *)
+  let kind, reply, wire, join =
     Obs.Trace.with_span
       ?parent:(if job.j_root = 0 then None else Some job.j_root)
       ~trace:job.j_trace
       ~attrs:[ ("conn", string_of_int job.j_conn) ]
-      "execute" body
+      "execute"
+      (fun () ->
+        let kind, reply, join = body () in
+        (kind, reply, encode_reply ~trace:job.j_trace reply, join))
   in
   {
     c_conn = job.j_conn;
-    c_reply = reply;
+    c_wire = wire;
+    c_error = Result.is_error reply;
+    c_degraded =
+      (match reply with Ok (_, degraded) -> degraded | Error _ -> false);
     c_kind = kind;
     c_statement = job.j_line;
     c_elapsed_us = Obs.Trace.now_us () - t0;
@@ -459,7 +480,7 @@ let add_conn t ~tcp ~fd ~wfd =
       c_tcp = tcp;
       c_inbuf = Buffer.create 256;
       c_pending = [];
-      c_out = "";
+      c_out = Queue.create ();
       c_out_off = 0;
       c_outstanding = false;
       c_last_us = Obs.Trace.now_us ();
@@ -483,7 +504,7 @@ let close_conn t conn =
     if conn.c_tcp then try Unix.close conn.c_fd with Unix.Unix_error _ -> ()
   end
 
-let send conn text = conn.c_out <- conn.c_out ^ text
+let send conn text = if text <> "" then Queue.push text conn.c_out
 
 (* A connection is finished once no worker owns it, its output is
    flushed, and it either asked to close (QUIT, oversize, reap) or hit
@@ -492,7 +513,7 @@ let maybe_close t conn =
   if
     Hashtbl.mem t.conns conn.c_id
     && (not conn.c_outstanding)
-    && conn.c_out = ""
+    && Queue.is_empty conn.c_out
     && (conn.c_closing || (conn.c_eof && conn.c_pending = []))
   then close_conn t conn
 
@@ -510,22 +531,8 @@ let extract_lines conn =
 (* ---- dispatch ---- *)
 
 let observe_completion t (c : completion) =
-  let degraded, is_err =
-    match c.c_reply with
-    | Protocol.Ok_reply { degraded; _ } -> (degraded, false)
-    | Protocol.Err _ -> (false, true)
-    | _ -> (false, false)
-  in
-  let kind_ok =
-    match c.c_reply with
-    | Protocol.Ok_reply _ ->
-        if degraded then Obs.Metrics.inc (m_degraded t);
-        true
-    | Protocol.Err _ ->
-        Obs.Metrics.inc (m_errors t);
-        true
-    | _ -> false
-  in
+  if c.c_degraded then Obs.Metrics.inc (m_degraded t);
+  if c.c_error then Obs.Metrics.inc (m_errors t);
   let elapsed_ms = float_of_int c.c_elapsed_us /. 1000. in
   let slow =
     match t.cfg.slowlog with
@@ -535,8 +542,8 @@ let observe_completion t (c : completion) =
   (* Close the request root before deciding retention, so the root span
      itself is in the ring when the recorder copies the trace out. *)
   let outcome =
-    if is_err then "error"
-    else if degraded then "degraded"
+    if c.c_error then "error"
+    else if c.c_degraded then "degraded"
     else if slow then "slow"
     else "ok"
   in
@@ -545,19 +552,17 @@ let observe_completion t (c : completion) =
       (("outcome", outcome)
       :: (match c.c_join with Some j -> [ ("join", j) ] | None -> []))
     c.c_root;
-  if is_err || degraded || slow then
+  if c.c_error || c.c_degraded || slow then
     Obs.Recorder.pin ~trace:c.c_trace ~reason:outcome;
-  if kind_ok then begin
-    Obs.Metrics.inc (m_requests t c.c_kind);
-    Obs.Histogram.observe (m_latency t c.c_kind) (float_of_int c.c_elapsed_us);
-    match t.cfg.slowlog with
-    | Some log ->
-        if slow then
-          ignore
-            (Obs.Slowlog.observe log ~kind:c.c_kind ~statement:c.c_statement
-               ~elapsed_ms ?join:c.c_join ~trace:c.c_trace ())
-    | None -> ()
-  end
+  Obs.Metrics.inc (m_requests t c.c_kind);
+  Obs.Histogram.observe (m_latency t c.c_kind) (float_of_int c.c_elapsed_us);
+  match t.cfg.slowlog with
+  | Some log ->
+      if slow then
+        ignore
+          (Obs.Slowlog.observe log ~kind:c.c_kind ~statement:c.c_statement
+             ~elapsed_ms ?join:c.c_join ~trace:c.c_trace ())
+  | None -> ()
 
 (* Dispatch a connection's buffered lines until a statement goes
    outstanding (or the connection starts closing).  Control verbs are
@@ -700,7 +705,7 @@ let handle_completions t =
       | None -> ()  (* connection died while the worker ran *)
       | Some conn ->
           conn.c_outstanding <- false;
-          send conn (Protocol.encode c.c_reply);
+          send conn c.c_wire;
           dispatch t conn;
           maybe_close t conn)
     batch
@@ -780,27 +785,34 @@ let read_conn t conn =
     ->
       close_conn t conn
 
-let write_conn t conn =
-  let len = String.length conn.c_out - conn.c_out_off in
-  if len > 0 then
-    match Unix.write_substring conn.c_wfd conn.c_out conn.c_out_off len with
-    | n ->
-        conn.c_last_us <- now_us ();
-        conn.c_out_off <- conn.c_out_off + n;
-        if conn.c_out_off >= String.length conn.c_out then begin
-          conn.c_out <- "";
-          conn.c_out_off <- 0;
-          maybe_close t conn
-        end
-    | exception
-        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-      ->
-        ()
-    | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _)
-      ->
-        (* The client went away mid-reply.  SIGPIPE is ignored, so this
-           is a clean per-connection error, never process death. *)
-        close_conn t conn
+(* Write queued replies in order until the socket would block.  A
+   partial write leaves the rest of the head in place; no reply is
+   copied or joined with another. *)
+let rec write_conn t conn =
+  match Queue.peek_opt conn.c_out with
+  | None -> ()
+  | Some text -> (
+      let len = String.length text - conn.c_out_off in
+      match Unix.write_substring conn.c_wfd text conn.c_out_off len with
+      | n ->
+          conn.c_last_us <- now_us ();
+          if n < len then conn.c_out_off <- conn.c_out_off + n
+          else begin
+            ignore (Queue.pop conn.c_out);
+            conn.c_out_off <- 0;
+            if Queue.is_empty conn.c_out then maybe_close t conn
+            else write_conn t conn
+          end
+      | exception
+          Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+        ->
+          ()
+      | exception
+          Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _)
+        ->
+          (* The client went away mid-reply.  SIGPIPE is ignored, so this
+             is a clean per-connection error, never process death. *)
+          close_conn t conn)
 
 let recorder_dump_path t =
   Option.value t.cfg.recorder_out ~default:"tempagg-recorder.json"
@@ -870,7 +882,8 @@ let run ?(signals = false) t =
   let conn_list () = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
   let all_flushed () =
     List.for_all
-      (fun c -> (not c.c_outstanding) && c.c_out = "" && c.c_pending = [])
+      (fun c ->
+        (not c.c_outstanding) && Queue.is_empty c.c_out && c.c_pending = [])
       (conn_list ())
   in
   let rec loop () =
@@ -925,7 +938,7 @@ let run ?(signals = false) t =
           if
             c.c_tcp
             && (not c.c_outstanding)
-            && c.c_out = ""
+            && Queue.is_empty c.c_out
             && (not c.c_closing)
             && (not c.c_eof)
             && c.c_last_us < idle_cutoff
@@ -946,7 +959,7 @@ let run ?(signals = false) t =
       let writes =
         List.filter_map
           (fun c ->
-            if String.length c.c_out > c.c_out_off then Some c.c_wfd else None)
+            if Queue.is_empty c.c_out then None else Some c.c_wfd)
           (conn_list ())
       in
       let timeout =

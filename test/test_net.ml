@@ -34,6 +34,196 @@ let test_protocol_clean_embedded_newlines () =
        (Net.Protocol.Ok_reply
           { degraded = false; trace = None; payload = [ "x\r\ny" ] }))
 
+(* ------------------------------------------------------------------ *)
+(* Result framing                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The table layout before results were framed in one pass, kept
+   verbatim as the reference: the e2ebench answer checks render through
+   the current [Tsql.Pretty], so only this comparison catches a change
+   of layout. *)
+module Reference_pretty = struct
+  open Relation
+
+  let result_to_string rel =
+    let schema = Trel.schema rel in
+    let headers =
+      List.map (fun c -> c.Schema.name) (Schema.columns schema) @ [ "valid" ]
+    in
+    let rows =
+      List.map
+        (fun t ->
+          Array.to_list (Array.map Value.to_string (Tuple.values t))
+          @ [ Temporal.Interval.to_string (Tuple.valid t) ])
+        (Trel.tuples rel)
+    in
+    let widths = Array.of_list (List.map String.length headers) in
+    List.iter
+      (List.iteri (fun i cell ->
+           widths.(i) <- Stdlib.max widths.(i) (String.length cell)))
+      rows;
+    let is_numeric s =
+      s <> ""
+      && String.for_all
+           (function '0' .. '9' | '.' | '-' -> true | _ -> false)
+           s
+    in
+    let pad i cell =
+      let gap = widths.(i) - String.length cell in
+      if is_numeric cell then String.make gap ' ' ^ cell
+      else cell ^ String.make gap ' '
+    in
+    let line cells = "| " ^ String.concat " | " (List.mapi pad cells) ^ " |" in
+    let rule =
+      "+"
+      ^ String.concat "+"
+          (Array.to_list (Array.map (fun w -> String.make (w + 2) '-') widths))
+      ^ "+"
+    in
+    String.concat "\n"
+      ([ rule; line headers; rule ] @ List.map line rows @ [ rule ])
+end
+
+(* The payload a server sent before one-pass framing: the reference
+   table's non-empty lines. *)
+let reference_payload rel =
+  List.filter
+    (fun l -> l <> "")
+    (String.split_on_char '\n' (Reference_pretty.result_to_string rel))
+
+let reference_reply ~degraded ~trace rel =
+  Net.Protocol.encode
+    (Net.Protocol.Ok_reply { degraded; trace; payload = reference_payload rel })
+
+(* Relations built to hit every layout rule: right-aligned digit-only
+   cells (Int, [-0.5], "123", "-", "."), left-aligned [%g] forms
+   ([1e+06], [nan], [inf]), NULL, [min_int]/[max_int], intervals from 0
+   and to [oo], Str cells holding '|', spaces, '\r' and '\n', headers
+   wider than every cell, and 0 or 1 rows. *)
+let gen_result_relation =
+  let open Relation in
+  QCheck2.Gen.(
+    let int_cell =
+      oneof
+        [
+          oneofl [ 0; 7; -1; 10; -10; 99; -100; min_int; min_int + 1; max_int ];
+          int;
+        ]
+    in
+    let float_cell =
+      oneof
+        [
+          oneofl
+            [ 1e6; nan; infinity; neg_infinity; -0.5; 0.; -0.; 0.25; 1e-7; 123456. ];
+          float;
+        ]
+    in
+    let str_cell =
+      oneof
+        [
+          oneofl
+            [
+              ""; "0"; "123"; "-"; "."; "-1.5"; "a|b"; "a b"; " "; "x\ry";
+              "x\ny"; "\n"; "\n\n"; "a\r\n"; "\r"; "\n\r\n"; "\r\n\r\n"; "a\n\rb\n";
+            ];
+          string_size ~gen:printable (int_bound 12);
+        ]
+    in
+    let cell = function
+      | Value.Tint -> map (fun i -> Value.Int i) int_cell
+      | Value.Tfloat -> map (fun f -> Value.Float f) float_cell
+      | Value.Tstring -> map (fun s -> Value.Str s) str_cell
+    in
+    let nullable ty = frequency [ (1, return Value.Null); (5, cell ty) ] in
+    let header i =
+      oneofl
+        [
+          Printf.sprintf "c%d" i;
+          Printf.sprintf "a_header_wider_than_every_cell_%d" i;
+          string_of_int i;
+        ]
+    in
+    let interval =
+      let* start = oneof [ return 0; int_bound 100; int_bound 1_000_000_000 ] in
+      let* stop =
+        frequency
+          [
+            (1, return None);
+            (1, return (Some (max_int - 1)));
+            (4, map (fun d -> Some (start + d)) (int_bound 100_000));
+          ]
+      in
+      return
+        (match stop with
+        | None -> Temporal.Interval.from (Temporal.Chronon.of_int start)
+        | Some stop -> Temporal.Interval.of_ints start stop)
+    in
+    let* tys = list_size (int_bound 3) (oneofl Value.[ Tint; Tfloat; Tstring ]) in
+    let* names = flatten_l (List.mapi (fun i _ -> header i) tys) in
+    let* nrows = frequency [ (1, return 0); (1, return 1); (4, int_range 2 8) ] in
+    let* rows =
+      list_repeat nrows (pair (flatten_l (List.map nullable tys)) interval)
+    in
+    return
+      (Trel.create
+         (Schema.make
+            (List.map2 (fun name ty -> { Schema.name; ty }) names tys))
+         (List.map (fun (vs, iv) -> Tuple.make (Array.of_list vs) iv) rows)))
+
+let gen_framing =
+  QCheck2.Gen.(
+    triple gen_result_relation bool
+      (oneofl
+         [ None; Some "r1-2"; Some "t.x:y_Z"; Some "bad id!"; Some "";
+           Some (String.make 65 'a') ]))
+
+(* Every reply of the property goes through a real socket into
+   [Net.Client.read_reply]; one loopback listener serves them all. *)
+let loopback =
+  lazy
+    (let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+     Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+     Unix.listen fd 8;
+     match Unix.getsockname fd with
+     | Unix.ADDR_INET (_, port) -> (fd, port)
+     | _ -> assert false)
+
+(* The reply [bytes] as a client reads them, and whether the stream
+   ends right after it. *)
+let read_back bytes =
+  let listener, port = Lazy.force loopback in
+  let c = Net.Client.connect ~port () in
+  let fd, _ = Unix.accept listener in
+  ignore (Unix.write_substring fd bytes 0 (String.length bytes));
+  Unix.close fd;
+  let reply = Net.Client.read_reply c in
+  let at_end = Result.is_error (Net.Client.read_reply c) in
+  Net.Client.close c;
+  (reply, at_end)
+
+let prop_framing_matches_reference =
+  QCheck2.Test.make ~name:"encode_rows = reference rendering, split and framed"
+    ~count:500
+    ~print:(fun (rel, degraded, trace) ->
+      Printf.sprintf "degraded=%b trace=%s\n%S" degraded
+        (Option.value trace ~default:"-")
+        (Reference_pretty.result_to_string rel))
+    gen_framing
+    (fun (rel, degraded, trace) ->
+      let got = Net.Protocol.encode_rows ~degraded ~trace rel in
+      let reply, at_end = read_back got in
+      let echoed =
+        Option.bind trace (fun id ->
+            if Net.Protocol.valid_trace_id id then Some id else None)
+      in
+      (* The client reads each line as sent: '\r' already removed. *)
+      let payload = List.map Net.Protocol.clean (reference_payload rel) in
+      got = reference_reply ~degraded ~trace rel
+      && Tsql.Pretty.result_to_string rel
+         = Reference_pretty.result_to_string rel
+      && reply = Ok (Net.Protocol.Ok_reply { degraded; trace = echoed; payload })
+      && at_end)
+
 let test_protocol_parse_header () =
   let ok s = match Net.Protocol.parse_header s with Ok h -> h | Error e -> Alcotest.fail e in
   Alcotest.(check bool) "pong" true (ok "PONG" = Net.Protocol.H_pong);
@@ -230,7 +420,7 @@ let test_admission_take_blocks_until_stop () =
 (* Client/server end to end                                            *)
 (* ------------------------------------------------------------------ *)
 
-let with_server ?(config = Net.Server.default_config) f =
+let with_server ?(config = Net.Server.default_config) ?(catalog = catalog) f =
   let config = { config with Net.Server.transport = Net.Server.Tcp 0 } in
   let srv = Net.Server.create ~config catalog in
   let handle = Domain.spawn (fun () -> Net.Server.run srv) in
@@ -410,6 +600,7 @@ let test_e2e_trace_span_tree () =
     }
   in
   let id = "e2e-span-tree" in
+  let payload = ref [] and reply_bytes = ref 0 in
   with_server ~config (fun port report_of ->
       let c = Net.Client.connect ~port () in
       Fun.protect ~finally:(fun () -> Net.Client.close c) (fun () ->
@@ -417,7 +608,9 @@ let test_e2e_trace_span_tree () =
             Net.Client.request ~trace:id c
               "SELECT COUNT(name) FROM Employed DURING [5,15]"
           with
-          | Ok (Net.Protocol.Ok_reply { trace; _ }) ->
+          | Ok (Net.Protocol.Ok_reply { trace; payload = p; _ } as reply) ->
+              payload := p;
+              reply_bytes := String.length (Net.Protocol.encode reply);
               Alcotest.(check (option string)) "id echoed" (Some id) trace
           | Ok other ->
               Alcotest.fail ("expected OK, got " ^ Net.Protocol.encode other)
@@ -433,13 +626,24 @@ let test_e2e_trace_span_tree () =
       in
       List.iter
         (fun l -> Alcotest.(check bool) ("span " ^ l) true (has l))
-        [ "request"; "queue-wait"; "execute" ];
+        [ "request"; "queue-wait"; "execute"; "format" ];
       Alcotest.(check bool) "engine spans nest under the request" true
         (List.exists
            (fun (s : Obs.Trace.span) ->
-             s.label <> "request" && s.label <> "queue-wait"
-             && s.label <> "execute")
+             not (List.mem s.label [ "request"; "queue-wait"; "execute"; "format" ]))
            spans);
+      (* The reply is rendered and framed on the worker, under execute,
+         and the span says how big it was. *)
+      let find l = List.find (fun (s : Obs.Trace.span) -> s.label = l) spans in
+      let format = find "format" in
+      Alcotest.(check (option int)) "format under execute"
+        (Some (find "execute").id) format.parent;
+      Alcotest.(check (option string)) "format rows"
+        (Some (string_of_int (List.length !payload - 4)))
+        (List.assoc_opt "rows" format.attrs);
+      Alcotest.(check (option string)) "format bytes"
+        (Some (string_of_int !reply_bytes))
+        (List.assoc_opt "bytes" format.attrs);
       let root =
         List.find (fun (s : Obs.Trace.span) -> s.label = "request") spans
       in
@@ -569,6 +773,81 @@ let test_e2e_report_render () =
       in
       Alcotest.(check bool) "mentions drain" true (contains text "drain"))
 
+(* A reply far larger than the socket buffers, pipelined with a PING
+   and read slowly: the server's nonblocking writes come back partial,
+   and the output queue must resume each one where it stopped, keep the
+   reply byte-exact, and send PONG only after it. *)
+let test_e2e_large_reply_slow_reader () =
+  let open Relation in
+  (* Point tuples at every other instant from [base]: the count
+     alternates 1 and 0, one row per instant after [0, base - 1], then
+     [.., oo].  About 6 MB, beyond what the host's socket buffers take
+     in one write. *)
+  let n = 60_000 and base = 1_000_000_000_000_000 in
+  let big =
+    Trel.create
+      (Schema.of_pairs [ ("v", Value.Tint) ])
+      (List.init n (fun i ->
+           let at = base + (2 * i) in
+           Tuple.make [| Value.Int i |] (Temporal.Interval.of_ints at at)))
+  in
+  let catalog = Tsql.Catalog.add (Tsql.Catalog.with_builtins ()) "big" big in
+  let stmt = "SELECT COUNT(*) FROM big" in
+  let result =
+    match Tsql.Eval.query catalog stmt with
+    | Ok rel -> rel
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check int) "rows" ((2 * n) + 1) (Trel.cardinality result);
+  with_server ~catalog (fun port _report_of ->
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      (* A small, fixed receive window: the reply cannot all sit in
+         socket buffers, whatever the host's autotuning limits. *)
+      Unix.setsockopt_int fd Unix.SO_RCVBUF 16384;
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+          let request = stmt ^ "\nPING\n" in
+          ignore (Unix.write_substring fd request 0 (String.length request));
+          (* Let both socket buffers fill before reading anything. *)
+          Unix.sleepf 0.2;
+          (* The server mints the first statement's id as r<conn>-0. *)
+          let expected trace =
+            reference_reply ~degraded:false ~trace:(Some trace) result ^ "PONG\n"
+          in
+          let received = Buffer.create (1 lsl 20) in
+          let chunk = Bytes.create 65536 in
+          let ends_with_pong () =
+            let len = Buffer.length received in
+            len >= 5 && Buffer.sub received (len - 5) 5 = "PONG\n"
+          in
+          let rec read_slowly () =
+            match Unix.read fd chunk 0 (Bytes.length chunk) with
+            | 0 -> ()
+            | k ->
+                Buffer.add_subbytes received chunk 0 k;
+                if not (ends_with_pong ()) then begin
+                  Unix.sleepf 0.0002;
+                  read_slowly ()
+                end
+          in
+          read_slowly ();
+          let text = Buffer.contents received in
+          let header = String.sub text 0 (String.index text '\n') in
+          let count, trace =
+            match Net.Protocol.parse_header header with
+            | Ok (Net.Protocol.H_ok { count; trace = Some trace; _ }) ->
+                (count, trace)
+            | _ -> Alcotest.fail ("unexpected header " ^ header)
+          in
+          let lines = String.split_on_char '\n' text in
+          (* header, [count] payload lines, PONG, and the empty tail. *)
+          Alcotest.(check int) "OK count = lines received" (count + 3)
+            (List.length lines);
+          Alcotest.(check int) "count = rows + 4" (Trel.cardinality result + 4)
+            count;
+          Alcotest.(check bool) "bytes equal the reference, PONG after" true
+            (text = expected trace)))
+
 let () =
   Alcotest.run "net"
     [
@@ -582,6 +861,7 @@ let () =
             test_protocol_trace_framing;
           Alcotest.test_case "trace verbs" `Quick test_protocol_trace_verbs;
           Alcotest.test_case "sleep verb" `Quick test_protocol_sleep;
+          QCheck_alcotest.to_alcotest ~long:false prop_framing_matches_reference;
         ] );
       ( "admission",
         [
@@ -611,5 +891,7 @@ let () =
           Alcotest.test_case "shed request pinned" `Quick
             test_e2e_shed_request_pinned;
           Alcotest.test_case "report renders" `Quick test_e2e_report_render;
+          Alcotest.test_case "large reply to a slow reader" `Quick
+            test_e2e_large_reply_slow_reader;
         ] );
     ]
