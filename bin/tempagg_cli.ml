@@ -286,11 +286,6 @@ let exec kind bindings algorithm domains on_error join_strategy memory_budget
       print_string (Obs.Metrics.expose registry)
     end
   in
-  let print_degradations =
-    List.iter (fun d ->
-        Printf.eprintf "degraded: %s\n%!"
-          (Tempagg.Engine.degradation_to_string d))
-  in
   let outcome =
     Result.bind parsed_algorithm (fun algorithm ->
         Result.bind parsed_join_strategy (fun join_strategy ->
@@ -309,26 +304,20 @@ let exec kind bindings algorithm domains on_error join_strategy memory_budget
                   (fun catalog ->
                     match kind with
                     | `Run ->
-                        if profile then
-                          Result.map
-                            (fun r -> `Profiled r)
-                            (Tsql.Eval.query_profiled ~adaptive ?algorithm
-                               ?domains ?on_error ?join_strategy ?memory_budget
-                               ?deadline_ms catalog q)
-                        else if
-                          on_error = None && memory_budget = None
-                          && deadline_ms = None
-                        then
-                          Result.map
-                            (fun r -> `Rel r)
-                            (Tsql.Eval.query ~adaptive ?algorithm ?domains
-                               ?join_strategy catalog q)
-                        else
-                          Result.map
-                            (fun r -> `Robust r)
-                            (Tsql.Eval.query_robust ~adaptive ?algorithm
-                               ?domains ?on_error ?join_strategy ?memory_budget
-                               ?deadline_ms catalog q)
+                        let ( let* ) = Result.bind in
+                        let profile =
+                          if profile then Some (Obs.Profile.create ()) else None
+                        in
+                        let* ast = Tsql.Parser.parse q in
+                        let* plan =
+                          Tsql.Eval.plan ~adaptive ?algorithm ?domains
+                            ?on_error ?join_strategy ?profile catalog ast
+                        in
+                        let* report =
+                          Tsql.Eval.execute ?memory_budget ?deadline_ms
+                            ?profile catalog plan
+                        in
+                        Ok (`Report (report, profile))
                     | `Explain ->
                         Result.map
                           (fun s -> `Text s)
@@ -337,20 +326,15 @@ let exec kind bindings algorithm domains on_error join_strategy memory_budget
   in
   write_trace ();
   match outcome with
-  | Ok (`Rel result) ->
+  | Ok (`Report ({ Tsql.Eval.result; degradations; _ }, profile)) ->
       Tsql.Pretty.print_result result;
-      print_metrics [];
-      `Ok ()
-  | Ok (`Robust { Tsql.Eval.result; degradations }) ->
-      Tsql.Pretty.print_result result;
-      print_degradations degradations;
-      print_metrics degradations;
-      `Ok ()
-  | Ok (`Profiled { Tsql.Eval.result; profile; degradations }) ->
-      Tsql.Pretty.print_result result;
-      print_degradations degradations;
-      print_string (Obs.Profile.to_string profile);
-      print_metrics ~profile_report:profile degradations;
+      List.iter
+        (fun d ->
+          Printf.eprintf "degraded: %s\n%!"
+            (Tempagg.Engine.degradation_to_string d))
+        degradations;
+      Option.iter (fun p -> print_string (Obs.Profile.to_string p)) profile;
+      print_metrics ?profile_report:profile degradations;
       `Ok ()
   | Ok (`Text text) ->
       print_endline text;

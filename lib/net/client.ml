@@ -29,7 +29,9 @@ let send ?trace t line =
   output_char t.oc '\n';
   flush t.oc
 
-let read_line_opt t = try Some (input_line t.ic) with End_of_file -> None
+(* [None] at the end of input, including a connection the peer reset. *)
+let read_line_opt t =
+  try Some (input_line t.ic) with End_of_file | Sys_error _ -> None
 
 let read_reply t =
   match read_line_opt t with

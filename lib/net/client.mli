@@ -20,7 +20,7 @@ val send : ?trace:string -> t -> string -> unit
 
 val read_reply : t -> (Protocol.reply, string) result
 (** Read one framed reply; [Error] describes a protocol violation or an
-    unexpected EOF. *)
+    unexpected end of input (a closed or reset connection). *)
 
 val request : ?trace:string -> t -> string -> (Protocol.reply, string) result
 (** {!send} then {!read_reply}. *)

@@ -47,10 +47,19 @@ let op_to_string = function
   | Gt -> ">"
   | Ge -> ">="
 
+(* Literals print in the lexer's own spelling, so printed text reads
+   back to the same literal: a float as the shortest [digits.digits]
+   that parses to it (the lexer takes no exponent), a string with its
+   quotes doubled. *)
 let literal_to_string = function
   | Lint n -> string_of_int n
-  | Lfloat f -> Printf.sprintf "%g" f
-  | Lstring s -> Printf.sprintf "'%s'" s
+  | Lfloat f ->
+      let rec shortest p =
+        let s = Printf.sprintf "%.*f" p f in
+        if p >= 1074 || float_of_string s = f then s else shortest (p + 1)
+      in
+      shortest 1
+  | Lstring s -> "'" ^ String.concat "''" (String.split_on_char '\'' s) ^ "'"
 
 let select_item_to_string = function
   | Column name -> name

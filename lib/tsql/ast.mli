@@ -144,9 +144,14 @@ type statement =
 val agg_fun_to_string : agg_fun -> string
 val op_to_string : comparison_op -> string
 val literal_to_string : literal -> string
+(** A literal in the lexer's own spelling: a string with its quotes
+    doubled, a float as the shortest [digits.digits] that reads back to
+    it.  Non-negative literals — all the parser produces — round-trip. *)
+
 val select_item_to_string : select_item -> string
 val to_string : query -> string
-(** Re-render a query (normalized keywords and spacing). *)
+(** Re-render a query (normalized keywords and spacing):
+    [Parser.parse (to_string q) = Ok q] for every parsed [q]. *)
 
 val statement_to_string : statement -> string
 (** Re-render a statement; {!Select} renders via {!to_string}.  The

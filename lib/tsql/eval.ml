@@ -12,9 +12,9 @@ let data_for tuples (spec : Semant.agg_spec) =
              let v = Tuple.value t i in
              if Value.is_null v then None else Some (Tuple.valid t, v))
 
-(* Mutable context for one robust query run: the budgets to enforce and
-   the degradation events accumulated across every per-aggregate,
-   per-group engine evaluation. *)
+(* Mutable context for one guarded run ([execute]'s robust path): the
+   budgets to enforce, the profile to fill, and the degradation events
+   accumulated across every per-aggregate, per-group engine evaluation. *)
 type robust_ctx = {
   memory_budget : int option;
   deadline_ms : float option;
@@ -23,7 +23,7 @@ type robust_ctx = {
 }
 
 (* Carries a structured engine error out of the evaluation loops;
-   intercepted in [query_robust], never escapes this module. *)
+   intercepted in [execute], never escapes this module. *)
 exception Robust_error of Tempagg.Engine.error
 
 let run_engine ?robust ?shard_offsets (plan : Semant.plan) monoid data =
@@ -245,7 +245,8 @@ let side_tuples ~window ~layout relation =
    through an Instrument, so a sweep that blows the memory budget
    retries as the nested loop — which keeps no per-tuple state — when
    the recovery policy allows, recorded as a degradation and counted
-   by {!Join.Telemetry}. *)
+   by {!Join.Telemetry}.  Returns the joined tuples and the strategy
+   that actually ran. *)
 let joined_tuples ?robust (plan : Semant.plan) (j : Semant.join_spec) =
   let left =
     Array.of_list
@@ -340,12 +341,13 @@ let joined_tuples ?robust (plan : Semant.plan) (j : Semant.join_spec) =
         | None -> run_join ())
   in
   Join.Telemetry.record ~strategy:used ~pairs:!npairs;
-  List.rev_map
-    (fun (l, r) ->
-      Tuple.make
-        (Array.append (Tuple.values left.(l)) (Tuple.values right.(r)))
-        (Join.Predicate.result_interval j.Semant.predicate livs.(l) rivs.(r)))
-    !pairs
+  ( List.rev_map
+      (fun (l, r) ->
+        Tuple.make
+          (Array.append (Tuple.values left.(l)) (Tuple.values right.(r)))
+          (Join.Predicate.result_interval j.Semant.predicate livs.(l) rivs.(r)))
+      !pairs,
+    used )
 
 let partitions (plan : Semant.plan) tuples =
   match plan.Semant.group_columns with
@@ -397,21 +399,23 @@ let run_aux ?robust (plan : Semant.plan) =
         in
         Some (split (Trel.tuples plan.Semant.relation) layout)
   in
-  let tuples =
+  let tuples, join_used =
     match (plan.Semant.join, blocks) with
     | Some j, _ ->
         (* The joined stream is already windowed per side; WHERE runs
            on the combined tuples. *)
-        List.filter plan.Semant.filter (joined_tuples ?robust plan j)
-    | None, Some bs -> List.concat bs
+        let joined, used = joined_tuples ?robust plan j in
+        (List.filter plan.Semant.filter joined, Some used)
+    | None, Some bs -> (List.concat bs, None)
     | None, None ->
         let tuples =
           List.filter plan.Semant.filter (Trel.tuples plan.Semant.relation)
         in
         (* DURING window: keep only the overlapping part of each tuple. *)
-        (match plan.Semant.window with
-        | None -> tuples
-        | Some w -> List.filter_map (clip_tuple w) tuples)
+        ( (match plan.Semant.window with
+          | None -> tuples
+          | Some w -> List.filter_map (clip_tuple w) tuples),
+          None )
   in
   let tuples =
     if plan.Semant.sort_first then
@@ -465,11 +469,13 @@ let run_aux ?robust (plan : Semant.plan) =
               (Timeline.to_list tl))
       (partitions plan tuples)
   in
-  Trel.create plan.Semant.out_schema rows
+  (Trel.create plan.Semant.out_schema rows, join_used)
 
-let run plan = run_aux plan
+let run plan = fst (run_aux plan)
 
 let ( let* ) = Result.bind
+
+let ms_since t0_us = float_of_int (Obs.Trace.now_us () - t0_us) /. 1000.
 
 (* Command-line overrides: --algorithm replaces the planned algorithm
    outright; --domains N (N > 1) wraps whatever was chosen in a parallel
@@ -524,6 +530,39 @@ let apply_overrides ?algorithm ?domains ?on_error ?join_strategy plan =
       }
   | _ -> plan
 
+(* The k the optimizer (or an override) settled on, when a k-ordered
+   tree is anywhere in the plan. *)
+let rec k_of = function
+  | Tempagg.Engine.Korder_tree { k } -> Some k
+  | Tempagg.Engine.Parallel { inner; _ } -> k_of inner
+  | _ -> None
+
+let plan ?(adaptive = true) ?algorithm ?domains ?on_error ?join_strategy
+    ?profile catalog ast =
+  let t0_us = Obs.Trace.now_us () in
+  let* planned = Semant.analyze ~adaptive catalog ast in
+  let planned =
+    apply_overrides ?algorithm ?domains ?on_error ?join_strategy planned
+  in
+  Option.iter
+    (fun p ->
+      Obs.Profile.set_query p (Ast.to_string ast);
+      Obs.Profile.set_plan p
+        ~algorithm:(Tempagg.Engine.name planned.Semant.algorithm)
+        ~rationale:planned.Semant.rationale;
+      Obs.Profile.set_stats_source p planned.Semant.stats_source;
+      Option.iter
+        (fun (j : Semant.join_spec) ->
+          Obs.Profile.set_join p
+            ~strategy:(Join.Engine.strategy_to_string j.Semant.strategy)
+            ~rationale:j.Semant.join_rationale
+            ~stats_source:j.Semant.join_stats_source)
+        planned.Semant.join;
+      Option.iter (Obs.Profile.set_k_estimate p) (k_of planned.Semant.algorithm);
+      Obs.Profile.add_phase p "plan" (ms_since t0_us))
+    profile;
+  Ok planned
+
 (* Harvest one outcome record into the statistics store after a
    successful run: what ran, how long it took, and — only when the plan
    was a plain scan of the relation — what the run proved about the
@@ -565,104 +604,64 @@ let record_outcome ?profile catalog (plan : Semant.plan) ~elapsed_ms
       degradations;
     }
 
-let query ?(adaptive = true) ?algorithm ?domains ?join_strategy catalog text =
-  let t0 = Unix.gettimeofday () in
-  let* ast = Parser.parse text in
-  let* plan = Semant.analyze ~adaptive catalog ast in
-  let plan = apply_overrides ?algorithm ?domains ?join_strategy plan in
-  match run plan with
-  | rel ->
-      record_outcome catalog plan
-        ~elapsed_ms:((Unix.gettimeofday () -. t0) *. 1000.)
-        ~degradations:0 rel;
-      Ok rel
-  | exception Invalid_argument msg -> Error ("evaluation failed: " ^ msg)
+type report = {
+  result : Trel.t;
+  degradations : Tempagg.Engine.degradation list;
+  join : Join.Engine.strategy option;
+}
+
+let execute ?memory_budget ?deadline_ms ?profile catalog (plan : Semant.plan) =
+  let t0_us = Obs.Trace.now_us () in
+  (* The one choice of engine path: a FAIL plan with nothing to enforce
+     or record runs on [Engine.eval]; a budget, a deadline, a profile or
+     a recovery policy sends every evaluation through
+     [Engine.eval_robust], which walks that policy. *)
+  let robust =
+    match (memory_budget, deadline_ms, profile, plan.Semant.on_error) with
+    | None, None, None, Tempagg.Engine.Fail -> None
+    | _ -> Some { memory_budget; deadline_ms; events = []; profile }
+  in
+  let failed e =
+    Error ("evaluation failed: " ^ Tempagg.Engine.error_to_string e)
+  in
+  match run_aux ?robust plan with
+  | result, join ->
+      let elapsed_ms = ms_since t0_us in
+      let degradations = match robust with Some c -> c.events | None -> [] in
+      Option.iter
+        (fun p ->
+          Obs.Profile.set_segments p (Trel.cardinality result);
+          (* The total covers the planning that [plan] timed, too. *)
+          Obs.Profile.set_total_ms p
+            (Option.value ~default:0.
+               (List.assoc_opt "plan" (Obs.Profile.phases p))
+            +. elapsed_ms))
+        profile;
+      record_outcome ?profile catalog plan ~elapsed_ms
+        ~degradations:(List.length degradations) result;
+      Ok { result; degradations; join }
+  | exception Robust_error e -> failed e
   | exception Tempagg.Korder_tree.Order_violation { position; _ } ->
-      Error
-        (Printf.sprintf
-           "evaluation failed: input not k-ordered for the hinted k (tuple \
-            %d); sort the relation or raise k"
-           position)
+      failed (Tempagg.Engine.Not_k_ordered { position })
+  | exception Invalid_argument msg -> failed (Tempagg.Engine.Eval_failed msg)
 
-type robust_report = {
-  result : Trel.t;
-  degradations : Tempagg.Engine.degradation list;
-}
-
-let query_robust ?(adaptive = true) ?algorithm ?domains ?on_error
-    ?join_strategy ?memory_budget ?deadline_ms catalog text =
-  let t0 = Unix.gettimeofday () in
+(* Parse a query's text and plan it: the front half of [query] and
+   [explain]. *)
+let plan_text ?adaptive ?algorithm ?domains ?on_error ?join_strategy catalog
+    text =
   let* ast = Parser.parse text in
-  let* plan = Semant.analyze ~adaptive catalog ast in
-  let plan = apply_overrides ?algorithm ?domains ?on_error ?join_strategy plan in
-  let ctx = { memory_budget; deadline_ms; events = []; profile = None } in
-  match run_aux ~robust:ctx plan with
-  | rel ->
-      record_outcome catalog plan
-        ~elapsed_ms:((Unix.gettimeofday () -. t0) *. 1000.)
-        ~degradations:(List.length ctx.events)
-        rel;
-      Ok { result = rel; degradations = ctx.events }
-  | exception Robust_error e ->
-      Error ("evaluation failed: " ^ Tempagg.Engine.error_to_string e)
-  | exception Invalid_argument msg -> Error ("evaluation failed: " ^ msg)
+  plan ?adaptive ?algorithm ?domains ?on_error ?join_strategy catalog ast
 
-type profiled_report = {
-  result : Trel.t;
-  profile : Obs.Profile.t;
-  degradations : Tempagg.Engine.degradation list;
-}
+let query ?adaptive ?algorithm ?domains ?join_strategy catalog text =
+  let* plan = plan_text ?adaptive ?algorithm ?domains ?join_strategy catalog text in
+  let* report = execute catalog plan in
+  Ok report.result
 
-let query_profiled ?(adaptive = true) ?algorithm ?domains ?on_error
-    ?join_strategy ?memory_budget ?deadline_ms catalog text =
-  let profile = Obs.Profile.create () in
-  let t0 = Unix.gettimeofday () in
-  let* ast = Parser.parse text in
-  let* plan = Semant.analyze ~adaptive catalog ast in
-  let plan = apply_overrides ?algorithm ?domains ?on_error ?join_strategy plan in
-  Obs.Profile.set_query profile (Ast.to_string ast);
-  Obs.Profile.set_plan profile
-    ~algorithm:(Tempagg.Engine.name plan.Semant.algorithm)
-    ~rationale:plan.Semant.rationale;
-  Obs.Profile.set_stats_source profile plan.Semant.stats_source;
-  Option.iter
-    (fun (j : Semant.join_spec) ->
-      Obs.Profile.set_join profile
-        ~strategy:(Join.Engine.strategy_to_string j.Semant.strategy)
-        ~rationale:j.Semant.join_rationale
-        ~stats_source:j.Semant.join_stats_source)
-    plan.Semant.join;
-  (* The k the optimizer (or an override) settled on, when a k-ordered
-     tree is anywhere in the plan. *)
-  let rec k_of = function
-    | Tempagg.Engine.Korder_tree { k } -> Some k
-    | Tempagg.Engine.Parallel { inner; _ } -> k_of inner
-    | _ -> None
+let explain ?adaptive ?algorithm ?domains ?on_error ?join_strategy catalog
+    text =
+  let* plan =
+    plan_text ?adaptive ?algorithm ?domains ?on_error ?join_strategy catalog text
   in
-  Option.iter (Obs.Profile.set_k_estimate profile) (k_of plan.Semant.algorithm);
-  Obs.Profile.add_phase profile "parse+analyze"
-    ((Unix.gettimeofday () -. t0) *. 1000.);
-  let ctx =
-    { memory_budget; deadline_ms; events = []; profile = Some profile }
-  in
-  match run_aux ~robust:ctx plan with
-  | rel ->
-      Obs.Profile.set_segments profile (Trel.cardinality rel);
-      let total_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-      Obs.Profile.set_total_ms profile total_ms;
-      record_outcome ~profile catalog plan ~elapsed_ms:total_ms
-        ~degradations:(List.length ctx.events)
-        rel;
-      Ok { result = rel; profile; degradations = ctx.events }
-  | exception Robust_error e ->
-      Error ("evaluation failed: " ^ Tempagg.Engine.error_to_string e)
-  | exception Invalid_argument msg -> Error ("evaluation failed: " ^ msg)
-
-let explain ?(adaptive = true) ?algorithm ?domains ?on_error ?join_strategy
-    catalog text =
-  let* ast = Parser.parse text in
-  let* plan = Semant.analyze ~adaptive catalog ast in
-  let plan = apply_overrides ?algorithm ?domains ?on_error ?join_strategy plan in
   let join_scan =
     match plan.Semant.join with
     | None -> ""

@@ -11,10 +11,76 @@
     as in the paper's Table 1 which begins at time 0).  For queries with
     a GROUP BY attribute, each group's timeline is clipped to that
     group's lifespan, since an unbounded all-empty timeline per group is
-    rarely useful. *)
+    rarely useful.
+
+    Two entry points carry every query: {!plan} turns a parsed query
+    into an executable plan, and {!execute} evaluates a plan and records
+    its outcome.  {!query} and {!explain} are their text-taking
+    wrappers. *)
+
+val plan :
+  ?adaptive:bool ->
+  ?algorithm:Tempagg.Engine.algorithm ->
+  ?domains:int ->
+  ?on_error:Tempagg.Engine.on_error ->
+  ?join_strategy:Join.Engine.strategy ->
+  ?profile:Obs.Profile.t ->
+  Catalog.t ->
+  Ast.query ->
+  (Semant.plan, string) result
+(** {!Semant.analyze}, then the overrides.  [?adaptive] (default true)
+    lets the planner consult the catalog's statistics store — the CLI's
+    [--no-adaptive] turns it off.  [?algorithm] replaces the planned
+    evaluation algorithm (the CLI's [--algorithm]); [?domains] above 1
+    wraps it in {!Tempagg.Engine.Parallel} over that many OCaml domains
+    ([--domains]); [?on_error] replaces the recovery policy
+    ([--on-error]); [?join_strategy] pins the interval-join strategy
+    ([--join-strategy]; ignored for join-free queries).  [?profile]
+    receives the query text, the chosen plan (algorithm, rationale,
+    statistics source, join strategy, k estimate) and the planning time
+    as its ["plan"] phase. *)
+
+type report = {
+  result : Relation.Trel.t;
+  degradations : Tempagg.Engine.degradation list;
+      (** Every recovery event across all per-aggregate, per-group
+          evaluations and the join, in occurrence order.  Empty on a
+          clean run. *)
+  join : Join.Engine.strategy option;
+      (** The interval-join strategy that actually ran: the planned one,
+          or [Nested_loop] when a sweep that blew its memory budget fell
+          back.  [None] for a join-free plan. *)
+}
+
+val execute :
+  ?memory_budget:int ->
+  ?deadline_ms:float ->
+  ?profile:Obs.Profile.t ->
+  Catalog.t ->
+  Semant.plan ->
+  (report, string) result
+(** Evaluate a plan and feed its outcome into the catalog's statistics
+    store ({!record_outcome}).  The engine path is chosen here and
+    nowhere else: a plan whose recovery policy is [Fail], run without a
+    budget, a deadline or a profile, goes through
+    {!Tempagg.Engine.eval}; anything else goes through
+    {!Tempagg.Engine.eval_robust}.  There, budgets and deadlines are
+    enforced, failures walk the plan's recovery policy (its [ON ERROR]
+    clause, an [?on_error] given to {!plan}, or the optimizer's
+    recommendation), and every degradation is reported — never applied
+    silently.  [?profile] records every attempt (aborted ones included),
+    degradations, phase timings and the output size; profiling forces
+    instrumentation, so the run costs what
+    {!Tempagg.Engine.eval_with_stats} costs, but it never changes the
+    answer.  [Error _] is ["evaluation failed: "] followed by
+    {!Tempagg.Engine.error_to_string}'s rendering. *)
 
 val run : Semant.plan -> Relation.Trel.t
-(** Execute an analyzed plan. *)
+(** Evaluate a plan on the plain engine path ({!Tempagg.Engine.eval},
+    whatever its recovery policy) without recording the outcome — for
+    callers that time the evaluation alone.
+    @raise Tempagg.Korder_tree.Order_violation when a k-ordered tree
+    meets input that is not k-ordered. *)
 
 type value_monoid =
   | Value_monoid : (Relation.Value.t, 's, Relation.Value.t) Tempagg.Monoid.t -> value_monoid
@@ -41,16 +107,8 @@ val query :
   Catalog.t ->
   string ->
   (Relation.Trel.t, string) result
-(** Parse, analyze and run: the whole pipeline.  [?adaptive] (default
-    true) lets the planner consult the catalog's statistics store, and
-    every successful run feeds an outcome record back into it —
-    the CLI's [--no-adaptive] turns the planning half off (outcomes are
-    still recorded).  [?algorithm] overrides the planned evaluation
-    algorithm (the CLI's [--algorithm]); [?domains] with a value above 1
-    wraps the planned algorithm in {!Tempagg.Engine.Parallel} over that
-    many OCaml domains (the CLI's [--domains]); [?join_strategy] pins
-    the interval-join strategy (the CLI's [--join-strategy]; ignored
-    for join-free queries). *)
+(** Parse, {!plan} (with the given overrides) and {!execute}: the whole
+    pipeline, answering with the result relation. *)
 
 val record_outcome :
   ?profile:Obs.Profile.t ->
@@ -64,59 +122,8 @@ val record_outcome :
     cardinality, algorithm, latency, peak bytes (when profiled), and —
     only for a plain scan — the result's constant-interval count and
     any k bound the run proved (a bare k-ordered tree completing with
-    every aggregate consuming every tuple).  The query entry points call
-    this themselves; it is exposed for {!Session}'s view-recompute
-    path. *)
-
-type robust_report = {
-  result : Relation.Trel.t;
-  degradations : Tempagg.Engine.degradation list;
-      (** Every recovery event across all per-aggregate, per-group
-          evaluations, in occurrence order.  Empty on a clean run. *)
-}
-
-val query_robust :
-  ?adaptive:bool ->
-  ?algorithm:Tempagg.Engine.algorithm ->
-  ?domains:int ->
-  ?on_error:Tempagg.Engine.on_error ->
-  ?join_strategy:Join.Engine.strategy ->
-  ?memory_budget:int ->
-  ?deadline_ms:float ->
-  Catalog.t ->
-  string ->
-  (robust_report, string) result
-(** Like {!query}, but every engine evaluation goes through
-    {!Tempagg.Engine.eval_robust}: budgets and deadlines are enforced
-    (per evaluation), failures walk the plan's recovery policy
-    ([?on_error] overrides the query's [ON ERROR] clause or the
-    optimizer's recommendation), and every degradation is reported —
-    never applied silently.  [Error _] carries the rendered structured
-    error when recovery is impossible or disallowed. *)
-
-type profiled_report = {
-  result : Relation.Trel.t;
-  profile : Obs.Profile.t;
-      (** Plan, rationale, k estimate, every attempt (aborted ones
-          included), degradations, phase timings and output size. *)
-  degradations : Tempagg.Engine.degradation list;
-}
-
-val query_profiled :
-  ?adaptive:bool ->
-  ?algorithm:Tempagg.Engine.algorithm ->
-  ?domains:int ->
-  ?on_error:Tempagg.Engine.on_error ->
-  ?join_strategy:Join.Engine.strategy ->
-  ?memory_budget:int ->
-  ?deadline_ms:float ->
-  Catalog.t ->
-  string ->
-  (profiled_report, string) result
-(** {!query_robust} with an {!Obs.Profile} threaded through every engine
-    evaluation — the implementation behind [EXPLAIN ANALYZE] and the
-    CLI's [--profile].  Profiling forces instrumentation, so the run
-    costs what {!Tempagg.Engine.eval_with_stats} costs. *)
+    every aggregate consuming every tuple).  {!execute} calls this
+    itself; it is exposed for callers that time {!run} on their own. *)
 
 val explain :
   ?adaptive:bool ->
@@ -127,8 +134,8 @@ val explain :
   Catalog.t ->
   string ->
   (string, string) result
-(** Parse and analyze only; describe the chosen strategy (algorithm,
+(** Parse and {!plan} only; describe the chosen strategy (algorithm,
     sorting, grouping, join strategy and rationale for join queries,
     recovery policy when not [fail]) without running the query.  Takes
-    the same overrides as {!query} so [explain] shows exactly what
-    [query] would run. *)
+    the same overrides as {!plan} so [explain] shows exactly what
+    {!execute} would run. *)

@@ -65,10 +65,10 @@ type plan = {
   algorithm : Tempagg.Engine.algorithm;
   sort_first : bool;  (** Sort the relation by time before evaluating. *)
   on_error : Tempagg.Engine.on_error;
-      (** Recovery policy for robust execution: an explicit [ON ERROR]
-          clause, else [Fail] for a [USING] hint, else the optimizer's
-          recommendation.  {!Eval.run} ignores it; {!Eval.query_robust}
-          honours it. *)
+      (** Recovery policy: an explicit [ON ERROR] clause, else [Fail]
+          for a [USING] hint, else the optimizer's recommendation.
+          {!Eval.execute} honours it (any policy but [Fail] takes the
+          robust engine path); {!Eval.run} ignores it. *)
   granule : Temporal.Granule.t option;  (** [Some _] for GROUP BY SPAN. *)
   window : Temporal.Interval.t option;
       (** DURING window: evaluation is restricted to these instants. *)

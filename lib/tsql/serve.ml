@@ -97,25 +97,6 @@ let refresh_session_metrics registry session =
          else float_of_int pruned /. float_of_int (scanned + pruned)))
     (Session.partitions session)
 
-(* A slow SELECT against a base relation is re-run under
-   [Eval.query_profiled] to attach the full profile to its slowlog
-   entry.  The re-run reads the same immutable snapshot the statement
-   just read (the serve loop is single-threaded, and nothing ran in
-   between), so it is safe; it does cost a second evaluation, which is
-   the price of capturing attempt-level detail only for statements that
-   already proved slow. *)
-let slow_detail session stmt =
-  match stmt with
-  | Ast.Select q
-    when not
-           (List.exists
-              (fun v -> String.lowercase_ascii v = String.lowercase_ascii q.Ast.from)
-              (Session.view_names session)) -> (
-      match Eval.query_profiled (Session.catalog session) (Ast.to_string q) with
-      | Ok { Eval.profile; _ } -> Some (Obs.Profile.to_string profile)
-      | Error _ -> None)
-  | _ -> None
-
 let run ?(echo = false) ?(out = print_string) ?metrics_every ?slowlog session
     statements =
   let registry = Obs.Metrics.create () in
@@ -154,8 +135,11 @@ let run ?(echo = false) ?(out = print_string) ?metrics_every ?slowlog session
       let spans_before =
         if Obs.Trace.is_armed () then List.length (Obs.Trace.spans ()) else 0
       in
+      (* With a slowlog, every statement carries a profile, so a slow
+         query logs the profile of the run that was slow. *)
+      let profile = Option.map (fun _ -> Obs.Profile.create ()) slowlog in
       let t0_us = Obs.Trace.now_us () in
-      let result = Session.exec_statement session stmt in
+      let result = Session.exec_statement ?profile session stmt in
       let dt_us = float_of_int (Obs.Trace.now_us () - t0_us) in
       Obs.Histogram.observe (latency kind) dt_us;
       (match slowlog with
@@ -169,7 +153,11 @@ let run ?(echo = false) ?(out = print_string) ?metrics_every ?slowlog session
             else []
           in
           let detail =
-            if Result.is_ok result then slow_detail session stmt else None
+            match (profile, result) with
+            (* Only a query planned against a base relation fills it. *)
+            | Some p, Ok _ when Obs.Profile.stats_source p <> None ->
+                Some (Obs.Profile.to_string p)
+            | _ -> None
           in
           ignore
             (Obs.Slowlog.observe log ~kind

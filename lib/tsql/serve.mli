@@ -53,9 +53,11 @@ val run :
     [print_string]); errors always print.  [metrics_every] (off by
     default) dumps the Prometheus exposition through [out] every that
     many statements.  [slowlog] (off by default) captures every
-    statement at or over its threshold; a slow SELECT against a base
-    relation is re-run under {!Eval.query_profiled} to attach the full
-    profile text, and when tracing is armed the entry carries the labels
+    statement at or over its threshold.  With a slowlog every statement
+    runs with an {!Obs.Profile} ({!Session.exec_statement}'s
+    [?profile]), so a slow SELECT or EXPLAIN ANALYZE against a base
+    relation carries the profile of its own run — never of a second
+    evaluation; when tracing is armed the entry also carries the labels
     of spans recorded during the statement. *)
 
 val run_script :

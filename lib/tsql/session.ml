@@ -318,22 +318,6 @@ let interval_of_window { Ast.w_start; w_stop } =
   Interval.make (Chronon.of_int w_start)
     (match w_stop with Some e -> Chronon.of_int e | None -> Chronon.forever)
 
-let run_plan t plan =
-  let t0_us = Obs.Trace.now_us () in
-  match Eval.run plan with
-  | rel ->
-      Eval.record_outcome (catalog t) plan
-        ~elapsed_ms:(float_of_int (Obs.Trace.now_us () - t0_us) /. 1000.)
-        ~degradations:0 rel;
-      Ok rel
-  | exception Invalid_argument msg -> Error ("evaluation failed: " ^ msg)
-  | exception Tempagg.Korder_tree.Order_violation { position; _ } ->
-      Error
-        (Printf.sprintf
-           "evaluation failed: input not k-ordered for the hinted k (tuple \
-            %d); sort the relation or raise k"
-           position)
-
 let incremental_capable (q : Ast.query) (plan : Semant.plan) =
   q.Ast.group_by = []
   && plan.Semant.granule = None
@@ -346,14 +330,15 @@ let create_view t name definition =
   else if Hashtbl.mem t.views (fold definition.Ast.from) then
     Error "views cannot be defined over views"
   else
-    let* plan = Semant.analyze ~adaptive:t.adaptive (catalog t) definition in
+    let cat = catalog t in
+    let* plan = Eval.plan ~adaptive:t.adaptive cat definition in
     let source = fold definition.Ast.from in
     let base = Hashtbl.find t.bases source in
     let* strategy =
       if incremental_capable definition plan then
         Ok (Incremental (build_incremental t plan base))
       else
-        let* rel = run_plan t plan in
+        let* { Eval.result = rel; _ } = Eval.execute cat plan in
         Ok (Recompute { rel; stale = false })
     in
     let replaced = Hashtbl.mem t.views key in
@@ -381,13 +366,14 @@ let refresh_view t name =
   match Hashtbl.find_opt t.views (fold name) with
   | None -> Error (Printf.sprintf "unknown view %S" name)
   | Some v ->
-      let* plan = Semant.analyze ~adaptive:t.adaptive (catalog t) v.definition in
+      let cat = catalog t in
+      let* plan = Eval.plan ~adaptive:t.adaptive cat v.definition in
       let base = Hashtbl.find t.bases v.source in
       let* strategy =
         match v.strategy with
         | Incremental _ -> Ok (Incremental (build_incremental t plan base))
         | Recompute _ ->
-            let* rel = run_plan t plan in
+            let* { Eval.result = rel; _ } = Eval.execute cat plan in
             t.stats.Live.Stats.rebuilds <- t.stats.Live.Stats.rebuilds + 1;
             Ok (Recompute { rel; stale = false })
       in
@@ -573,10 +559,9 @@ let compute_view_rows t v window =
   | Recompute r ->
       let* () =
         if r.stale then begin
-          let* plan =
-            Semant.analyze ~adaptive:t.adaptive (catalog t) v.definition
-          in
-          let* rel = run_plan t plan in
+          let cat = catalog t in
+          let* plan = Eval.plan ~adaptive:t.adaptive cat v.definition in
+          let* { Eval.result = rel; _ } = Eval.execute cat plan in
           r.rel <- rel;
           r.stale <- false;
           t.stats.Live.Stats.rebuilds <- t.stats.Live.Stats.rebuilds + 1;
@@ -615,64 +600,56 @@ let select_view t v (q : Ast.query) =
           ~version:v.vversion rel;
         Ok (Rows rel)
 
-let select ?memory_budget ?deadline_ms ?on_error t (q : Ast.query) =
+(* A query against a base relation: planned once, against one catalog,
+   and evaluated once.  [?profile] is filled by both halves. *)
+let select_base ?memory_budget ?deadline_ms ?on_error ?profile t
+    (q : Ast.query) =
+  let cat = catalog t in
+  let* plan = Eval.plan ~adaptive:t.adaptive ?on_error ?profile cat q in
+  (if plan.Semant.shard_layout <> [] then
+     match Hashtbl.find_opt t.bases (fold q.Ast.from) with
+     | Some { part = Some p; _ } ->
+         Storage.Partition.record_pruning p ~scanned:plan.Semant.scanned_shards
+           ~pruned:plan.Semant.pruned_shards
+     | _ -> ());
+  (* A join's right side prunes against its own layout; credit its
+     partition the same way. *)
+  (match plan.Semant.join with
+  | Some j when j.Semant.right_shard_layout <> [] -> (
+      match Hashtbl.find_opt t.bases (fold j.Semant.right_name) with
+      | Some { part = Some p; _ } ->
+          Storage.Partition.record_pruning p ~scanned:j.Semant.right_scanned
+            ~pruned:j.Semant.right_pruned
+      | _ -> ())
+  | _ -> ());
+  let planned = Option.map (fun j -> j.Semant.strategy) plan.Semant.join in
+  t.last_join <- Option.map Join.Engine.strategy_to_string planned;
+  let* report = Eval.execute ?memory_budget ?deadline_ms ?profile cat plan in
+  t.last_degradations <- List.length report.Eval.degradations;
+  (* A join that ran another strategy than planned fell back to the
+     nested loop; mark the recorded strategy so the slowlog can tell
+     them apart. *)
+  (match (planned, report.Eval.join) with
+  | Some chosen, Some ran when ran <> chosen ->
+      t.last_join <-
+        Some
+          (Printf.sprintf "%s -> %s (fallback)"
+             (Join.Engine.strategy_to_string chosen)
+             (Join.Engine.strategy_to_string ran))
+  | _ -> ());
+  Ok report.Eval.result
+
+let select ?memory_budget ?deadline_ms ?on_error ?profile t (q : Ast.query) =
   match Hashtbl.find_opt t.views (fold q.Ast.from) with
   | Some v -> select_view t v q
   | None ->
-      let* plan = Semant.analyze ~adaptive:t.adaptive (catalog t) q in
-      (if plan.Semant.shard_layout <> [] then
-         match Hashtbl.find_opt t.bases (fold q.Ast.from) with
-         | Some { part = Some p; _ } ->
-             Storage.Partition.record_pruning p
-               ~scanned:plan.Semant.scanned_shards
-               ~pruned:plan.Semant.pruned_shards
-         | _ -> ());
-      (* A join's right side prunes against its own layout; credit its
-         partition the same way. *)
-      (match plan.Semant.join with
-      | Some j when j.Semant.right_shard_layout <> [] -> (
-          match Hashtbl.find_opt t.bases (fold j.Semant.right_name) with
-          | Some { part = Some p; _ } ->
-              Storage.Partition.record_pruning p
-                ~scanned:j.Semant.right_scanned ~pruned:j.Semant.right_pruned
-          | _ -> ())
-      | _ -> ());
-      (match plan.Semant.join with
-      | Some j ->
-          t.last_join <- Some (Join.Engine.strategy_to_string j.Semant.strategy)
-      | None -> ());
-      if memory_budget = None && deadline_ms = None && on_error = None then
-        let* rel = run_plan t plan in
-        Ok (Rows rel)
-      else
-        (* A caller-imposed budget (the network server's admission
-           controller) routes the evaluation through the robust engine:
-           blown budgets walk the fallback chain instead of failing, and
-           the degradation count is surfaced via [last_degradations]. *)
-        match
-          Eval.query_robust ~adaptive:t.adaptive ?on_error ?memory_budget
-            ?deadline_ms (catalog t) (Ast.to_string q)
-        with
-        | Ok { Eval.result; degradations } ->
-            t.last_degradations <- List.length degradations;
-            (* A degradation event in a join stage means the planned
-               strategy was abandoned for the nested-loop retry; mark
-               the recorded strategy so the slowlog can tell them
-               apart. *)
-            (match t.last_join with
-            | Some chosen
-              when List.exists
-                     (fun d ->
-                       String.length d.Tempagg.Engine.stage >= 5
-                       && String.sub d.Tempagg.Engine.stage 0 5 = "join:")
-                     degradations ->
-                t.last_join <-
-                  Some (chosen ^ " -> nested-loop-join (fallback)")
-            | _ -> ());
-            Ok (Rows result)
-        | Error _ as e -> e
+      let* rel =
+        select_base ?memory_budget ?deadline_ms ?on_error ?profile t q
+      in
+      Ok (Rows rel)
 
-let explain_analyze t (q : Ast.query) =
+let explain_analyze ?memory_budget ?deadline_ms ?on_error ?profile t
+    (q : Ast.query) =
   match Hashtbl.find_opt t.views (fold q.Ast.from) with
   | Some v ->
       Error
@@ -681,12 +658,12 @@ let explain_analyze t (q : Ast.query) =
             answers come from a materialized timeline, not a fresh \
             evaluation)"
            v.vname)
-  | None -> (
-      match
-        Eval.query_profiled ~adaptive:t.adaptive (catalog t) (Ast.to_string q)
-      with
-      | Ok { Eval.profile; _ } -> Ok (Ack (Obs.Profile.to_string profile))
-      | Error _ as e -> e)
+  | None ->
+      let profile = Option.value profile ~default:(Obs.Profile.create ()) in
+      let* _ =
+        select_base ?memory_budget ?deadline_ms ?on_error ~profile t q
+      in
+      Ok (Ack (Obs.Profile.to_string profile))
 
 (* ANALYZE: one pass over the relation in physical order, feeding the
    streaming k estimator and the distinct-endpoint sketch; the exact
@@ -851,9 +828,7 @@ let replace_base t name rel =
         | Recompute r -> r.stale <- true
         | Incremental _ -> (
             let base = Hashtbl.find t.bases key in
-            match
-              Semant.analyze ~adaptive:t.adaptive (catalog t) v.definition
-            with
+            match Eval.plan ~adaptive:t.adaptive (catalog t) v.definition with
             | Ok plan -> v.strategy <- Incremental (build_incremental t plan base)
             | Error _ ->
                 v.strategy <-
@@ -862,12 +837,13 @@ let replace_base t name rel =
       end)
     t.views
 
-let exec_statement ?memory_budget ?deadline_ms ?on_error t stmt =
+let exec_statement ?memory_budget ?deadline_ms ?on_error ?profile t stmt =
   t.last_degradations <- 0;
   t.last_join <- None;
   match stmt with
-  | Ast.Select q -> select ?memory_budget ?deadline_ms ?on_error t q
-  | Ast.Explain_analyze q -> explain_analyze t q
+  | Ast.Select q -> select ?memory_budget ?deadline_ms ?on_error ?profile t q
+  | Ast.Explain_analyze q ->
+      explain_analyze ?memory_budget ?deadline_ms ?on_error ?profile t q
   | Ast.Analyze name -> analyze_relation t name
   | Ast.Show_stats -> show_stats t
   | Ast.Create_view { name; definition } -> create_view t name definition

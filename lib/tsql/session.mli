@@ -56,23 +56,28 @@ val exec_statement :
   ?memory_budget:int ->
   ?deadline_ms:float ->
   ?on_error:Tempagg.Engine.on_error ->
+  ?profile:Obs.Profile.t ->
   t ->
   Ast.statement ->
   (outcome, string) result
-(** Execute one parsed statement.  The optional guard budgets apply to
-    SELECTs against base relations (the statements whose cost is
-    unbounded): when any is given the evaluation runs through
-    {!Eval.query_robust}, so a blown budget walks the fallback chain
-    under the given [on_error] policy (or the query's own [ON ERROR]
-    clause) instead of failing outright, and {!last_degradations}
-    reports how many recovery events occurred.  View answers, DDL and
-    DML ignore the budgets — they are bounded by construction.  This is
+(** Execute one parsed statement.  A SELECT or EXPLAIN ANALYZE against a
+    base relation is planned once with {!Eval.plan} ([?on_error]
+    replacing the query's own [ON ERROR] clause or the optimizer's
+    recommendation) and evaluated once with {!Eval.execute}, which
+    picks the engine path: the guard budgets, a profile or a recovery
+    policy other than [fail] run it on the robust engine, so a blown
+    budget walks the fallback chain instead of failing outright and
+    {!last_degradations} reports how many recovery events occurred.
+    [?profile] is filled from that same run (EXPLAIN ANALYZE answers
+    with it, creating one when none is given), so taking a profile
+    never changes an answer.  View answers, DDL and DML ignore the
+    budgets and the profile — they are bounded by construction.  This is
     how the network server's admission controller degrades saturated
     queries instead of shedding them. *)
 
 val last_degradations : t -> int
 (** Number of degradations reported by the most recent statement
-    (0 for a clean run, or when the statement took the unguarded path). *)
+    (0 for a clean run). *)
 
 val last_join : t -> string option
 (** Join strategy the most recent statement's plan chose (e.g.

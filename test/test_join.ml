@@ -360,14 +360,20 @@ let wide_catalog () =
   let r = Relation.Trel.create rschema (List.init n (mk "x")) in
   Tsql.Catalog.add (Tsql.Catalog.add (Tsql.Catalog.with_builtins ()) "l" l) "r" r
 
+(* Plan and execute a query text through Eval's two entry points. *)
+let execute ?join_strategy ?on_error ?memory_budget cat q =
+  Result.bind (Tsql.Parser.parse q) (fun ast ->
+      Result.bind (Tsql.Eval.plan ?join_strategy ?on_error cat ast)
+        (Tsql.Eval.execute ?memory_budget cat))
+
 let budget_fallback () =
   let q = "SELECT COUNT(*) FROM l JOIN r ON l.vt MEETS r.vt" in
   (match
-     Tsql.Eval.query_robust ~join_strategy:Join.Engine.Sweep
+     execute ~join_strategy:Join.Engine.Sweep
        ~on_error:Tempagg.Engine.Fallback ~memory_budget:400 (wide_catalog ()) q
    with
   | Error m -> Alcotest.fail ("fallback path: " ^ m)
-  | Ok { Tsql.Eval.result; degradations } ->
+  | Ok { Tsql.Eval.result; degradations; _ } ->
       Alcotest.(check bool)
         "join degradation recorded" true
         (List.exists
@@ -380,13 +386,36 @@ let budget_fallback () =
       Alcotest.(check bool) "same rows after fallback" true
         (rows plain = rows result));
   match
-    Tsql.Eval.query_robust ~join_strategy:Join.Engine.Sweep
-      ~on_error:Tempagg.Engine.Fail ~memory_budget:400 (wide_catalog ()) q
+    execute ~join_strategy:Join.Engine.Sweep ~on_error:Tempagg.Engine.Fail
+      ~memory_budget:400 (wide_catalog ()) q
   with
   | Ok _ -> Alcotest.fail "Fail policy should surface the budget error"
   | Error m ->
       Alcotest.(check bool) "budget error" true
         (String.length m > 0)
+
+(* A sweep join that blows its budget under FALLBACK reruns as the
+   nested loop: the session counts one degradation and names both
+   strategies in [last_join]. *)
+let session_budget_fallback () =
+  let s = Tsql.Session.create (wide_catalog ()) in
+  match
+    Tsql.Parser.parse_statement "SELECT COUNT(*) FROM l JOIN r ON l.vt MEETS r.vt"
+  with
+  | Error m -> Alcotest.fail m
+  | Ok stmt -> (
+      match
+        Tsql.Session.exec_statement ~memory_budget:400
+          ~on_error:Tempagg.Engine.Fallback s stmt
+      with
+      | Error m -> Alcotest.fail m
+      | Ok _ ->
+          Alcotest.(check int) "one degradation" 1
+            (Tsql.Session.last_degradations s);
+          Alcotest.(check (option string))
+            "fallback marked"
+            (Some "sweep-join -> nested-loop-join (fallback)")
+            (Tsql.Session.last_join s))
 
 let telemetry_counts () =
   Join.Telemetry.reset ();
@@ -423,6 +452,10 @@ let parser_round_trip () =
        WHERE dept = 'x'";
       "SELECT dept, COUNT(*) FROM l JOIN r ON l.vt DURING r.vt GROUP BY \
        r.dept";
+      "SELECT COUNT(*) FROM l JOIN r ON l.vt OVERLAPS r.vt WHERE name = \
+       'O''Brien'";
+      "SELECT COUNT(*) FROM l JOIN r ON l.vt OVERLAPS r.vt WHERE load < \
+       1234567.5";
     ]
 
 let parser_reversed_sides () =
@@ -483,6 +516,8 @@ let () =
             explain_prints_strategy;
           Alcotest.test_case "budget fallback to nested loop" `Quick
             budget_fallback;
+          Alcotest.test_case "session marks the join fallback" `Quick
+            session_budget_fallback;
           Alcotest.test_case "telemetry counters" `Quick telemetry_counts;
         ] );
       ( "parser",

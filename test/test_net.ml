@@ -568,15 +568,35 @@ let test_e2e_degraded_under_queueing () =
           | Ok (Net.Protocol.Ok_reply _) -> ()
           | _ -> Alcotest.fail "blocker must get its reply"))
 
+(* Poll METRICS on a connection of its own until the exposition holds
+   [line] — an observable server state rather than a guessed delay. *)
+let await_metric port line =
+  let probe = Net.Client.connect ~port () in
+  Fun.protect ~finally:(fun () -> Net.Client.close probe) (fun () ->
+      let rec poll tries =
+        match Net.Client.request probe "METRICS" with
+        | Ok (Net.Protocol.Ok_reply { payload; _ }) when List.mem line payload
+          ->
+            ()
+        | Ok _ when tries > 0 ->
+            Unix.sleepf 0.01;
+            poll (tries - 1)
+        | Ok _ -> Alcotest.failf "METRICS never showed %S" line
+        | Error e -> Alcotest.fail e
+      in
+      poll 1000)
+
 let test_e2e_graceful_drain_with_inflight () =
   with_server ~config:saturation_config (fun port report_of ->
       let c = Net.Client.connect ~port () in
       Fun.protect ~finally:(fun () -> Net.Client.close c) (fun () ->
           (* Shutdown with a statement in flight: the drain finishes the
              work and flushes the reply (into the socket buffer) before
-             the server exits. *)
+             the server exits.  The drain starts only once a worker holds
+             the statement: closing a socket whose request was never read
+             would reset the connection instead. *)
           Net.Client.send c "SLEEP 200";
-          Unix.sleepf 0.05;
+          await_metric port "tempagg_net_in_flight 1";
           let report = report_of () in
           (match Net.Client.read_reply c with
           | Ok (Net.Protocol.Ok_reply _) -> ()

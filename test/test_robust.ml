@@ -481,10 +481,16 @@ let unsorted_catalog () =
     "Messy"
     (Trel.create schema tuples)
 
+(* Plan and execute a query text through Eval's two entry points. *)
+let execute ?memory_budget ?deadline_ms cat q =
+  Result.bind (Tsql.Parser.parse q) (fun ast ->
+      Result.bind (Tsql.Eval.plan cat ast)
+        (Tsql.Eval.execute ?memory_budget ?deadline_ms cat))
+
 let test_tsql_on_error_fallback () =
   let cat = unsorted_catalog () in
   let q = "SELECT COUNT(*) FROM Messy USING ktree(1) ON ERROR FALLBACK" in
-  match Tsql.Eval.query_robust cat q with
+  match execute cat q with
   | Error msg -> Alcotest.fail msg
   | Ok report ->
       Alcotest.(check bool) "degradations reported" true
@@ -501,11 +507,39 @@ let test_tsql_on_error_fallback () =
         (Trel.cardinality reference)
         (Trel.cardinality report.Tsql.Eval.result)
 
+(* The statement's own ON ERROR clause holds on the plain paths too: no
+   budget, no deadline, no override — and still the aggregation tree's
+   answer instead of an order violation. *)
+let test_tsql_on_error_honoured_without_guard () =
+  let cat = unsorted_catalog () in
+  let q = "SELECT COUNT(*) FROM Messy USING ktree(1) ON ERROR FALLBACK" in
+  let rows rel =
+    List.map
+      (fun t -> (Array.to_list (Tuple.values t), Tuple.valid t))
+      (Trel.tuples rel)
+  in
+  let reference =
+    match
+      Tsql.Eval.query cat "SELECT COUNT(*) FROM Messy USING aggregation_tree"
+    with
+    | Ok rel -> rows rel
+    | Error msg -> Alcotest.fail msg
+  in
+  (match Tsql.Eval.query cat q with
+  | Ok rel ->
+      Alcotest.(check bool) "Eval.query = aggregation tree" true
+        (rows rel = reference)
+  | Error msg -> Alcotest.fail ("Eval.query: " ^ msg));
+  match Tsql.Session.exec (Tsql.Session.create cat) q with
+  | Ok (Tsql.Session.Rows rel) ->
+      Alcotest.(check bool) "Session.exec = aggregation tree" true
+        (rows rel = reference)
+  | Ok (Tsql.Session.Ack msg) -> Alcotest.fail ("unexpected ack: " ^ msg)
+  | Error msg -> Alcotest.fail ("Session.exec: " ^ msg)
+
 let test_tsql_using_hint_fails_loudly_by_default () =
   let cat = unsorted_catalog () in
-  match
-    Tsql.Eval.query_robust cat "SELECT COUNT(*) FROM Messy USING ktree(1)"
-  with
+  match execute cat "SELECT COUNT(*) FROM Messy USING ktree(1)" with
   | Ok _ -> Alcotest.fail "expected failure: USING defaults to fail"
   | Error msg ->
       Alcotest.(check bool) "structured message" true
@@ -540,7 +574,7 @@ let test_tsql_deadline_overrides () =
       (Trel.create schema tuples)
   in
   let q = "SELECT COUNT(*) FROM Big USING sweep" in
-  match Tsql.Eval.query_robust ~deadline_ms:0.001 cat q with
+  match execute ~deadline_ms:0.001 cat q with
   | Ok _ -> Alcotest.fail "expected deadline error"
   | Error msg ->
       Alcotest.(check bool) "deadline rendered" true
@@ -770,6 +804,8 @@ let () =
       ( "tsql",
         [
           quick "ON ERROR FALLBACK recovers" test_tsql_on_error_fallback;
+          quick "ON ERROR honoured without a guard"
+            test_tsql_on_error_honoured_without_guard;
           quick "USING hint fails loudly by default"
             test_tsql_using_hint_fails_loudly_by_default;
           quick "ON ERROR parse and print" test_tsql_on_error_parse_and_print;

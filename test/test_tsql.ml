@@ -89,6 +89,62 @@ let test_parser_roundtrip () =
       "SELECT COUNT(*) FROM Employed USING linked_list";
     ]
 
+(* Printed literals read back unchanged: a query with any non-negative
+   int, finite non-negative float or quote-bearing string in its WHERE
+   clause parses back from its printed text to the same query. *)
+let prop_literals_round_trip =
+  let literal =
+    QCheck2.Gen.(
+      oneof
+        [
+          map (fun n -> Tsql.Ast.Lint n) (oneof [ nat; map (fun n -> n land max_int) int ]);
+          map
+            (fun f -> Tsql.Ast.Lfloat f)
+            (oneof
+               [
+                 oneofl [ 0.; 0.1; 1234567.5; 1e21; 1e-300; 5e-324; max_float ];
+                 map
+                   (fun f -> if Float.is_finite f then Float.abs f else 0.5)
+                   float;
+               ]);
+          map
+            (fun s -> Tsql.Ast.Lstring s)
+            (oneof
+               [
+                 oneofl [ "O'Brien"; "'"; "''"; "it's'" ];
+                 string_size
+                   ~gen:(frequency [ (3, printable); (1, return '\'') ])
+                   (int_bound 10);
+               ]);
+        ])
+  in
+  let query =
+    QCheck2.Gen.(
+      map
+        (fun preds ->
+          {
+            Tsql.Ast.select =
+              [ Tsql.Ast.Aggregate { fn = Count; arg = None; distinct = false } ];
+            from = "t";
+            join = None;
+            during = None;
+            where =
+              List.mapi
+                (fun i (op, value) ->
+                  { Tsql.Ast.column = Printf.sprintf "c%d" i; op; value })
+                preds;
+            group_by = [];
+            grouping = By_instant;
+            using = None;
+            on_error = None;
+          })
+        (list_size (int_range 1 3)
+           (pair (oneofl Tsql.Ast.[ Eq; Neq; Lt; Le; Gt; Ge ]) literal)))
+  in
+  QCheck2.Test.make ~name:"printed WHERE literals parse back" ~count:500
+    ~print:Tsql.Ast.to_string query (fun q ->
+      Tsql.Parser.parse (Tsql.Ast.to_string q) = Ok q)
+
 let test_parser_semicolon_and_instant () =
   let ast = parse "select count(*) from employed group by instant;" in
   Alcotest.(check bool) "instant grouping" true
@@ -499,6 +555,64 @@ let test_session_view_matches_direct_query () =
     "same rows" true
     (row_values via_view = row_values direct)
 
+(* Every path of a SELECT evaluates the plan of its own AST, so a quote
+   inside a string and a float with more than six significant digits
+   answer on a guarded, degraded or profiled run exactly as on the plain
+   one. *)
+let test_session_guarded_paths_keep_literals () =
+  let schema =
+    Schema.of_pairs [ ("name", Value.Tstring); ("pay", Value.Tfloat) ]
+  in
+  let staff =
+    Trel.create schema
+      (List.map
+         (fun (name, pay, a, b) ->
+           Tuple.make [| Value.Str name; Value.Float pay |]
+             (Temporal.Interval.of_ints a b))
+         [
+           ("O'Brien", 1_000_000., 0, 10);
+           ("Ada", 1_234_567.5, 5, 15);
+           ("Bob", 1_234_567.25, 8, 20);
+           ("O'Brien", 2_000_000., 5, 30);
+         ])
+  in
+  let s =
+    Tsql.Session.create
+      (Tsql.Catalog.add (Tsql.Catalog.with_builtins ()) "Staff" staff)
+  in
+  List.iter
+    (fun q ->
+      let plain = row_values (exec_rows s q) in
+      (* Both filters keep exactly two overlapping tuples. *)
+      Alcotest.(check bool) ("plain answer peaks at 2: " ^ q) true
+        (List.mem [ "2" ] (List.map fst plain)
+        && not (List.mem [ "3" ] (List.map fst plain)));
+      let stmt =
+        match Tsql.Parser.parse_statement q with
+        | Ok st -> st
+        | Error m -> Alcotest.fail m
+      in
+      let same path = function
+        | Ok (Tsql.Session.Rows rel) ->
+            Alcotest.(check (list (pair (list string) string)))
+              (path ^ ": " ^ q) plain (row_values rel)
+        | Ok (Tsql.Session.Ack m) -> Alcotest.fail (path ^ ": ack " ^ m)
+        | Error m -> Alcotest.fail (path ^ ": " ^ m)
+      in
+      same "deadline" (Tsql.Session.exec_statement ~deadline_ms:1e6 s stmt);
+      same "fallback"
+        (Tsql.Session.exec_statement ~on_error:Tempagg.Engine.Fallback s stmt);
+      match exec s ("EXPLAIN ANALYZE " ^ q) with
+      | Tsql.Session.Ack report ->
+          Alcotest.(check bool) ("EXPLAIN ANALYZE output: " ^ q) true
+            (contains report
+               (Printf.sprintf "output: %d segment(s)" (List.length plain)))
+      | Tsql.Session.Rows _ -> Alcotest.fail "EXPLAIN ANALYZE: expected an ack")
+    [
+      "SELECT COUNT(*) FROM Staff WHERE name = 'O''Brien'";
+      "SELECT COUNT(*) FROM Staff WHERE pay < 1234567.5";
+    ]
+
 let test_session_insert_updates_view () =
   let s = session () in
   ignore (exec s "CREATE VIEW hc AS SELECT COUNT(Name) FROM Employed");
@@ -730,6 +844,7 @@ let () =
       ( "parser",
         [
           quick "roundtrip" test_parser_roundtrip;
+          QCheck_alcotest.to_alcotest ~long:false prop_literals_round_trip;
           quick "semicolon and INSTANT" test_parser_semicolon_and_instant;
           quick "syntax errors" test_parser_errors;
         ] );
@@ -786,6 +901,8 @@ let () =
       ( "session",
         [
           quick "view matches direct query" test_session_view_matches_direct_query;
+          quick "guarded paths keep literals"
+            test_session_guarded_paths_keep_literals;
           quick "insert updates view" test_session_insert_updates_view;
           quick "delete updates view" test_session_delete_updates_view;
           quick "min/max across deletes" test_session_view_window_and_min_max;
