@@ -1180,8 +1180,8 @@ let guard_bench cfg =
 (* Observability overhead + artifacts                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Writes the observability artifacts next to the --json output: an
-   armed Chrome trace of a Parallel sweep (BENCH_trace.json — load it
+(* Writes the observability artifacts next to the --json output: the
+   ring's Chrome trace of a Parallel sweep (BENCH_trace.json — load it
    in about://tracing or Perfetto, one row per domain) and a Prometheus
    exposition of a profiled run (BENCH_metrics.txt). *)
 let write_obs_artifacts cfg =
@@ -1193,18 +1193,19 @@ let write_obs_artifacts cfg =
       let n = min cfg.max_size 16_384 in
       let sp = spec ~n ~long:0. ~seed:1 in
       let random = Workload.Generate.random_intervals sp in
-      (* Trace: one armed Parallel run, one shard span per domain. *)
-      Obs.Trace.arm ();
+      (* Trace: one Parallel run on an emptied ring, one shard span per
+         domain. *)
+      Obs.Trace.clear ();
       ignore
         (Tempagg.Engine.eval
            (Tempagg.Engine.Parallel { domains = 4; inner = Tempagg.Engine.Sweep })
            Tempagg.Monoid.count (count_data random));
-      Obs.Trace.disarm ();
+      let spans = Obs.Trace.recorded () in
       let trace_path = Filename.concat dir "BENCH_trace.json" in
       Out_channel.with_open_text trace_path (fun oc ->
-          output_string oc (Obs.Trace.export_chrome ()));
+          output_string oc (Obs.Trace.to_chrome_json spans));
       Printf.printf "(trace written to %s: %d spans)\n" trace_path
-        (List.length (Obs.Trace.spans ()));
+        (List.length spans);
       (* Metrics: a profiled robust run folded into a registry. *)
       let registry = Obs.Metrics.create () in
       let profile = Obs.Profile.create () in
@@ -1222,16 +1223,12 @@ let write_obs_artifacts cfg =
       Printf.printf "(metrics written to %s)\n" metrics_path
 
 (* Tracing must cost nothing when off: an instrumented hot path —
-   [Engine.eval] over the sweep — checks two atomic flags and otherwise
-   calls straight through, so with both sinks off (disarmed, ring
-   capacity 0) it must stay within measurement noise (<3%) of calling
-   [Sweep.eval] directly.  The always-on flight recorder (disarmed,
-   default ring capacity) carries the same bar: it adds one bounded
-   ring append per span, and the server leaves it on for every request,
-   so it cannot be allowed an arm/disarm-style cliff.  The armed column
-   (unbounded span record per eval, incl. the arm/disarm pair the
-   closure performs to keep buffers from accumulating) is context, not
-   a bar. *)
+   [Engine.eval] over the sweep — checks one atomic load and otherwise
+   calls straight through, so with the ring off (capacity 0) it must
+   stay within measurement noise (<3%) of calling [Sweep.eval]
+   directly.  The always-on flight recorder (default ring capacity)
+   carries the same bar: it adds one bounded ring append per span, and
+   the server leaves it on for every request. *)
 let obs_bench cfg =
   banner "obs" "tracing and flight-recorder overhead on the sweep hot path";
   let n = min cfg.max_size 16_384 in
@@ -1258,22 +1255,12 @@ let obs_bench cfg =
                 Obs.Trace.set_ring_capacity 2048;
               Tempagg.Engine.eval Tempagg.Engine.Sweep Tempagg.Monoid.count
                 (count_data arr));
-            (fun () ->
-              if Obs.Trace.ring_capacity_now () <> 0 then
-                Obs.Trace.set_ring_capacity 0;
-              Obs.Trace.arm ();
-              let r =
-                Tempagg.Engine.eval Tempagg.Engine.Sweep Tempagg.Monoid.count
-                  (count_data arr)
-              in
-              Obs.Trace.disarm ();
-              r);
           ]
         in
         let result = measure_paired variants in
         Obs.Trace.set_ring_capacity 2048;
         match result with
-        | [ (plain, _); disarmed; recorder; armed ] ->
+        | [ (plain, _); disarmed; recorder ] ->
             let cell (t, pct) = Printf.sprintf "%.4f (%+.1f%%)" t pct in
             worst_disarmed := Float.max !worst_disarmed (snd disarmed);
             worst_recorder := Float.max !worst_recorder (snd recorder);
@@ -1285,7 +1272,6 @@ let obs_bench cfg =
               Printf.sprintf "%.4f" plain;
               cell disarmed;
               cell recorder;
-              cell armed;
             ]
         | _ -> assert false)
       [ ("sweep, random input", random); ("sweep, sorted input", sorted) ]
@@ -1296,10 +1282,7 @@ let obs_bench cfg =
     n paired_rounds;
   Report.Table.print
     ~headers:
-      [
-        "workload"; "bare Sweep.eval"; "tracing off"; "recorder on";
-        "armed trace";
-      ]
+      [ "workload"; "bare Sweep.eval"; "tracing off"; "recorder on" ]
     rows;
   Printf.printf
     "worst tracing-off overhead:       %+.1f%% (bar: within noise, < 3%%)\n"
@@ -1308,11 +1291,9 @@ let obs_bench cfg =
     "worst always-on-recorder overhead: %+.1f%% (bar: within noise, < 3%%)\n"
     !worst_recorder;
   print_endline
-    "expectation: with both sinks off an eval costs two atomic loads; the \
+    "expectation: with the ring off an eval costs one atomic load; the \
      always-on recorder adds one bounded ring append per span (one span per \
-     eval here); armed tracing records into unbounded buffers (plus the \
-     arm/disarm epoch bump the measurement loop performs to keep them \
-     bounded)";
+     eval here)";
   write_obs_artifacts cfg
 
 (* ------------------------------------------------------------------ *)

@@ -3,9 +3,9 @@
    Subcommands:
      query     run a TSQL2-subset query over CSV relations
      explain   show the evaluation plan without running the query
-     serve     execute a script of interleaved DDL/DML/queries against
-               live incrementally-maintained views, or (--listen) serve
-               many TCP clients with admission control + graceful drain
+     serve     serve the line protocol to many TCP clients with admission
+               control + graceful drain, or to one connection over
+               stdin/stdout (--listen stdin, or --script FILE)
      client    replay a statement script against a running server
      generate  write a synthetic relation (paper Section 6 methodology)
      metrics   report k-orderedness / k-ordered-percentage of a relation
@@ -208,7 +208,22 @@ let trace_arg =
           "Record tracing spans for the whole run (catalog load through \
            evaluation) and write them to FILE as Chrome trace_event JSON \
            — load it in about://tracing or Perfetto.  Parallel plans get \
-           one span per shard.")
+           one span per shard.  The spans come from the flight-recorder \
+           ring, sized for the run; spans it had to drop are reported on \
+           stderr.")
+
+(* --trace FILE: size the ring for the whole run, then dump it. *)
+let trace_ring_spans = 65_536
+
+let write_trace = function
+  | None -> ()
+  | Some path ->
+      let spans = Obs.Trace.recorded () in
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc (Obs.Trace.to_chrome_json spans));
+      Printf.eprintf "trace: wrote %d span(s) to %s, %d dropped by the ring\n%!"
+        (List.length spans) path
+        (snd (Obs.Trace.ring_stats ()))
 
 let metrics_arg =
   Arg.(
@@ -262,21 +277,10 @@ let exec kind bindings algorithm domains on_error join_strategy memory_budget
     | None -> Ok None
     | Some spec -> Result.map Option.some (Storage.Fault.of_string spec)
   in
-  (* Arm tracing before the catalog loads so storage spans (heap reads,
-     external sorts) land in the same timeline as the evaluation. *)
-  if trace <> None then Obs.Trace.arm ();
+  (* Size the ring before the catalog loads so storage spans (heap
+     reads, external sorts) land in the same timeline as the evaluation. *)
+  if trace <> None then Obs.Trace.set_ring_capacity trace_ring_spans;
   let io_stats = Storage.Io_stats.create () in
-  let write_trace () =
-    match trace with
-    | None -> ()
-    | Some path ->
-        Obs.Trace.disarm ();
-        let spans = Obs.Trace.spans () in
-        Out_channel.with_open_text path (fun oc ->
-            output_string oc (Obs.Trace.to_chrome_json spans));
-        Printf.eprintf "trace: wrote %d span(s) to %s\n%!" (List.length spans)
-          path
-  in
   let print_metrics ?profile_report degradations =
     if metrics then begin
       let registry = Obs.Metrics.create () in
@@ -324,7 +328,7 @@ let exec kind bindings algorithm domains on_error join_strategy memory_budget
                           (Tsql.Eval.explain ~adaptive ?algorithm ?domains
                              ?on_error ?join_strategy catalog q))))))
   in
-  write_trace ();
+  write_trace trace;
   match outcome with
   | Ok (`Report ({ Tsql.Eval.result; degradations; _ }, profile)) ->
       Tsql.Pretty.print_result result;
@@ -581,23 +585,36 @@ let write_slowlog slowlog slowlog_out =
         path
   | _ -> ()
 
-(* The network server: the same catalog/session machinery behind a TCP
+(* The network server: the catalog/session machinery behind a TCP
    listener (or stdin as one connection), with admission control, a
-   worker-domain pool, and graceful drain on SIGTERM/SIGINT. *)
-let serve_net bindings cache_capacity no_adaptive slowlog_ms slowlog_out
-    data_dir split_threshold listen domains queue_depth degrade_watermark
-    drain_timeout_ms idle_timeout_ms max_connections memory_budget deadline_ms
-    on_error metrics_out recorder_spans recorder_pinned recorder_out
-    scrape_every slo_file =
+   worker-domain pool, and graceful drain on SIGTERM/SIGINT.  A script
+   is the Stdio transport's input: it is opened onto stdin. *)
+let serve bindings cache_capacity trace no_adaptive slowlog_ms slowlog_out
+    data_dir split_threshold script listen domains queue_depth
+    degrade_watermark drain_timeout_ms idle_timeout_ms max_connections
+    memory_budget deadline_ms on_error metrics_out recorder_spans
+    recorder_pinned recorder_out scrape_every slo_file =
   let transport =
-    if String.lowercase_ascii listen = "stdin" then Ok Net.Server.Stdio
-    else
-      match int_of_string_opt listen with
-      | Some p when p >= 0 && p < 65536 -> Ok (Net.Server.Tcp p)
-      | _ ->
-          Error
-            (Printf.sprintf "--listen expects a port number or 'stdin', got %S"
-               listen)
+    match (listen, script) with
+    | Some _, Some _ -> Error "--script and --listen are mutually exclusive"
+    | None, None -> Error "one of --script or --listen is required"
+    | None, Some path -> (
+        match Unix.openfile path [ Unix.O_RDONLY ] 0 with
+        | fd ->
+            Unix.dup2 fd Unix.stdin;
+            Unix.close fd;
+            Ok Net.Server.Stdio
+        | exception Unix.Unix_error (err, _, _) ->
+            Error (Printf.sprintf "%s: %s" path (Unix.error_message err)))
+    | Some listen, None -> (
+        if String.lowercase_ascii listen = "stdin" then Ok Net.Server.Stdio
+        else
+          match int_of_string_opt listen with
+          | Some p when p >= 0 && p < 65536 -> Ok (Net.Server.Tcp p)
+          | _ ->
+              Error
+                (Printf.sprintf
+                   "--listen expects a port number or 'stdin', got %S" listen))
   in
   match transport with
   | Error msg -> `Error (false, msg)
@@ -615,10 +632,13 @@ let serve_net bindings cache_capacity no_adaptive slowlog_ms slowlog_out
         | Error msg -> `Error (false, msg)
         | Ok catalog ->
             (* Flight-recorder sizing is global (the rings live inside
-               Obs.Trace); set it before any statement records spans. *)
-            (match recorder_spans with
-            | Some n -> Obs.Trace.set_ring_capacity n
-            | None -> ());
+               Obs.Trace); set it before any statement records spans.
+               --trace sizes the ring for the run unless
+               --recorder-spans does. *)
+            (match (recorder_spans, trace) with
+            | Some n, _ -> Obs.Trace.set_ring_capacity n
+            | None, Some _ -> Obs.Trace.set_ring_capacity trace_ring_spans
+            | None, None -> ());
             (match recorder_pinned with
             | Some n -> Obs.Recorder.configure ~max_pinned:n ()
             | None -> ());
@@ -668,7 +688,8 @@ let serve_net bindings cache_capacity no_adaptive slowlog_ms slowlog_out
               try Ok (Net.Server.create ~config catalog)
               with Unix.Unix_error (err, _, _) ->
                 Error
-                  (Printf.sprintf "cannot listen on %s: %s" listen
+                  (Printf.sprintf "cannot listen on %s: %s"
+                     (Option.value listen ~default:"stdin")
                      (Unix.error_message err))
             in
             (match srv with
@@ -693,119 +714,56 @@ let serve_net bindings cache_capacity no_adaptive slowlog_ms slowlog_out
                 (match metrics_out with
                 | None -> ()
                 | Some path ->
-                    Join.Telemetry.to_metrics report.Net.Server.metrics;
                     (* Atomic (temp + rename): a scraper racing the
                        drain never reads a torn exposition. *)
                     Obs.Metrics.write_file report.Net.Server.metrics path;
                     Printf.eprintf "metrics: wrote %s\n%!" path);
                 write_slowlog slowlog slowlog_out;
-                `Ok ()))
-
-let serve_script bindings cache_capacity echo metrics_every trace no_adaptive
-    slowlog_ms slowlog_out data_dir split_threshold script =
-  if trace <> None then Obs.Trace.arm ();
-  let write_trace () =
-    match trace with
-    | None -> ()
-    | Some path ->
-        Obs.Trace.disarm ();
-        let spans = Obs.Trace.spans () in
-        Out_channel.with_open_text path (fun oc ->
-            output_string oc (Obs.Trace.to_chrome_json spans));
-        Printf.eprintf "trace: wrote %d span(s) to %s\n%!" (List.length spans)
-          path
-  in
-  (* Partition-directory bindings become live partitioned bases (writes
-     and ANALYZE maintain them on disk); plain files go through the
-     catalog as immutable seeds. *)
-  let partition_bindings, file_bindings =
-    List.partition
-      (fun spec ->
-        Storage.Partition.is_partition_dir (snd (parse_binding spec)))
-      bindings
-  in
-  match build_catalog file_bindings with
-  | Error msg -> `Error (false, msg)
-  | Ok catalog -> (
-      match In_channel.with_open_text script In_channel.input_all with
-      | exception Sys_error msg -> `Error (false, msg)
-      | text -> (
-          let session =
-            Tsql.Session.create ~cache_capacity ~adaptive:(not no_adaptive)
-              ?data_dir ?split_threshold catalog
-          in
-          match
-            List.iter
-              (fun spec ->
-                let name, path = parse_binding spec in
-                Tsql.Session.add_partition session name
-                  (Storage.Partition.load path))
-              partition_bindings
-          with
-          | exception Invalid_argument msg -> `Error (false, msg)
-          | () -> (
-          let slowlog = make_slowlog slowlog_ms slowlog_out in
-          match
-            Tsql.Serve.run_script ~echo ?metrics_every ?slowlog session text
-          with
-          | Error msg -> `Error (false, script ^ ": " ^ msg)
-          | Ok report ->
-              print_string (Tsql.Serve.report_to_string report);
-              write_slowlog slowlog slowlog_out;
-              write_trace ();
-              `Ok ())))
-
-let serve bindings cache_capacity echo metrics_every trace no_adaptive
-    slowlog_ms slowlog_out data_dir split_threshold script listen domains
-    queue_depth degrade_watermark drain_timeout_ms idle_timeout_ms
-    max_connections memory_budget deadline_ms on_error metrics_out
-    recorder_spans recorder_pinned recorder_out scrape_every slo_file =
-  match (listen, script) with
-  | Some _, Some _ ->
-      `Error (false, "--script and --listen are mutually exclusive")
-  | None, None -> `Error (false, "one of --script or --listen is required")
-  | Some listen, None ->
-      serve_net bindings cache_capacity no_adaptive slowlog_ms slowlog_out
-        data_dir split_threshold listen domains queue_depth degrade_watermark
-        drain_timeout_ms idle_timeout_ms max_connections memory_budget
-        deadline_ms on_error metrics_out recorder_spans recorder_pinned
-        recorder_out scrape_every slo_file
-  | None, Some script ->
-      serve_script bindings cache_capacity echo metrics_every trace no_adaptive
-        slowlog_ms slowlog_out data_dir split_threshold script
+                write_trace trace;
+                (* Over stdin every reply went to stdout; a line that
+                   answered ERR fails the run, so a broken script fails. *)
+                match transport with
+                | Net.Server.Stdio when report.Net.Server.errors > 0 ->
+                    `Error
+                      ( false,
+                        Printf.sprintf "%d line(s) answered ERR"
+                          report.Net.Server.errors )
+                | _ -> `Ok ()))
 
 let serve_cmd =
   let doc =
-    "execute a statement script, or serve many TCP clients with admission \
-     control and graceful drain"
+    "serve the line protocol to many TCP clients with admission control \
+     and graceful drain, or run a statement script"
   in
   let man =
     [
       `S Manpage.s_description;
       `P
-        "Runs a mutable session over the bound relations: the script may \
+        "Runs mutable sessions over the bound relations: statements may \
          interleave $(b,CREATE VIEW name AS query), $(b,REFRESH VIEW), \
          $(b,DROP VIEW), $(b,INSERT INTO r VALUES (...) DURING [a,b]), \
-         $(b,DELETE FROM r WHERE ...) and $(b,SELECT) statements, \
-         separated by semicolons ($(b,--) starts a line comment).  Views \
-         with a plain by-instant, ungrouped definition are maintained \
-         incrementally on every write; others are recomputed lazily.  The \
-         report gives per-statement-kind latency percentiles and the \
-         session's live-maintenance counters.";
+         $(b,DELETE FROM r WHERE ...) and $(b,SELECT).  Views with a \
+         plain by-instant, ungrouped definition are maintained \
+         incrementally on every write; others are recomputed lazily.";
       `P
-        "With $(b,--listen) the same session machinery serves many \
-         concurrent clients over a line protocol: one statement per line, \
-         each answered by $(b,OK n [degraded]) plus $(i,n) payload lines, \
-         $(b,ERR msg), or $(b,BUSY reason) when the bounded admission \
-         queue sheds the request.  $(b,PING)/$(b,QUIT) are answered \
-         inline ($(b,PONG)/$(b,BYE)); PING bypasses admission, so it \
-         stays a liveness probe even at saturation.  Requests queued past \
-         the degrade watermark run under an ON ERROR fallback policy and \
-         a tighter deadline.  SIGTERM/SIGINT drain gracefully: stop \
-         accepting, finish or shed queued work within \
-         $(b,--drain-timeout-ms), flush, exit 0.  $(b,--listen stdin) \
-         serves stdin/stdout as one connection behind the same \
-         dispatcher.";
+        "With $(b,--listen) the server speaks a line protocol: one \
+         statement per line, each answered by $(b,OK n [degraded]) plus \
+         $(i,n) payload lines, $(b,ERR msg), or $(b,BUSY reason) when the \
+         bounded admission queue sheds the request.  $(b,PING)/$(b,QUIT) \
+         are answered inline ($(b,PONG)/$(b,BYE)); PING bypasses \
+         admission, so it stays a liveness probe even at saturation.  \
+         Requests queued past the degrade watermark run under an ON ERROR \
+         fallback policy and a tighter deadline.  SIGTERM/SIGINT drain \
+         gracefully: stop accepting, finish or shed queued work within \
+         $(b,--drain-timeout-ms), flush, exit 0.  The report gives \
+         per-statement-kind latency percentiles.";
+      `P
+        "$(b,--listen stdin) serves stdin/stdout as one connection behind \
+         the same dispatcher, and $(b,--script) FILE does the same with \
+         FILE as the input: one statement per line, an optional \
+         trailing semicolon, $(b,--) comment lines skipped.  Every line \
+         is answered on stdout and the report goes to stderr; the run \
+         exits non-zero when any line answered $(b,ERR).";
     ]
   in
   let cache =
@@ -814,27 +772,14 @@ let serve_cmd =
       & info [ "cache-capacity" ] ~docv:"N"
           ~doc:"Query-cache capacity in entries.")
   in
-  let echo =
-    Arg.(
-      value & flag
-      & info [ "echo" ]
-          ~doc:"Print each SELECT result and acknowledgement as it runs.")
-  in
-  let metrics_every =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "metrics-every" ] ~docv:"N"
-          ~doc:
-            "Dump a Prometheus metrics exposition every $(docv) statements.")
-  in
   let script =
     Arg.(
       value
       & opt (some string) None
       & info [ "script" ] ~docv:"PATH"
           ~doc:
-            "Statement script to execute (script mode; exclusive with \
+            "Serve the statement lines of $(docv) as one stdin connection \
+             ($(b,--listen stdin) reading $(docv); exclusive with \
              $(b,--listen)).")
   in
   let listen =
@@ -908,9 +853,10 @@ let serve_cmd =
       & info [ "slowlog-ms" ] ~docv:"MS"
           ~doc:
             "Capture statements taking at least $(docv) milliseconds into \
-             the slow-query log (0 captures everything).  Slow SELECTs \
-             against base relations are re-profiled so the entry carries \
-             the full EXPLAIN ANALYZE report.")
+             the slow-query log (0 captures everything).  With a slowlog \
+             every statement runs with a profile, so a slow SELECT against \
+             a base relation carries the EXPLAIN ANALYZE report of its own \
+             run.")
   in
   let slowlog_out =
     Arg.(
@@ -928,10 +874,12 @@ let serve_cmd =
       & info [ "data-dir" ] ~docv:"DIR"
           ~doc:
             "Directory where $(b,CREATE TABLE ... PARTITION BY RANGE (vt)) \
-             places partition directories (one per table).  Defaults to a \
-             fresh temporary directory; pass an existing DIR to keep the \
-             partitions across runs (re-bind them with \
-             $(b,-r NAME=DIR/name)).")
+             places partition directories (one per table), created with \
+             any missing parents.  Over stdin ($(b,--script) or \
+             $(b,--listen stdin)) a table lands at DIR/name; each TCP \
+             connection gets its own DIR/conn-N.  Defaults to a fresh \
+             temporary directory; pass a DIR to keep the partitions \
+             across runs (re-bind them with $(b,-r NAME=DIR/name)).")
   in
   let split_threshold =
     Arg.(
@@ -1004,11 +952,11 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc ~man)
     Term.(
       ret
-        (const serve $ relations_arg $ cache $ echo $ metrics_every $ trace_arg
-       $ no_adaptive_arg $ slowlog_ms $ slowlog_out $ data_dir
-       $ split_threshold $ script $ listen $ domains $ queue_depth
-       $ degrade_watermark $ drain_timeout_ms $ idle_timeout_ms
-       $ max_connections $ memory_budget_arg $ deadline_arg $ on_error_arg
+        (const serve $ relations_arg $ cache $ trace_arg $ no_adaptive_arg
+       $ slowlog_ms $ slowlog_out $ data_dir $ split_threshold $ script
+       $ listen $ domains $ queue_depth $ degrade_watermark
+       $ drain_timeout_ms $ idle_timeout_ms $ max_connections
+       $ memory_budget_arg $ deadline_arg $ on_error_arg
        $ metrics_out $ recorder_spans $ recorder_pinned $ recorder_out
        $ scrape_every $ slo_file))
 

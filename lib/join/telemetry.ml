@@ -1,6 +1,6 @@
 (* Process-wide join counters, Atomic because joins run inside the
    TCP server's session domains.  [to_metrics] refreshes gauges in a
-   registry on demand (the serve loop's metrics refresh), mirroring how
+   registry on demand (the server's scrape-time refresh), mirroring how
    partition pruning totals are exposed. *)
 
 let sweep_joins = Atomic.make 0

@@ -1,5 +1,5 @@
 (** Process-wide interval-join counters ([tempagg_join_*]), refreshed
-    into a metrics registry by the serve loop alongside the partition
+    into the network server's registry with its other scrape-time
     gauges. *)
 
 val record : strategy:Engine.strategy -> pairs:int -> unit

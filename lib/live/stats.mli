@@ -1,7 +1,7 @@
 (** Shared counters for the live subsystem.
 
     One mutable record, threadable through any number of {!View}s and
-    {!Cache}s so a session (or a serve loop) reports a single rollup:
+    {!Cache}s so a session reports a single rollup:
     maintenance work on the write path (inserts, deletes, segments
     patched, lazy rebuilds, tombstones pending a rebuild) and cache
     behaviour on the read path (hits, misses, precise invalidations,

@@ -122,8 +122,19 @@ let sleep_request line =
       | _ -> None)
   | _ -> None
 
+(* METRICS, or the SHOW METRICS statement with its optional ';'. *)
 let metrics_request line =
-  String.uppercase_ascii (strip_request line) = "METRICS"
+  let line = String.uppercase_ascii (strip_request line) in
+  let line =
+    if String.ends_with ~suffix:";" line then
+      String.sub line 0 (String.length line - 1)
+    else line
+  in
+  match
+    List.filter (( <> ) "") (String.split_on_char ' ' (String.trim line))
+  with
+  | [ "METRICS" ] | [ "SHOW"; "METRICS" ] -> true
+  | _ -> false
 
 let slo_request line = String.uppercase_ascii (strip_request line) = "SLO"
 

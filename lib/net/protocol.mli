@@ -10,7 +10,8 @@
                                 when the server is saturated or draining
               | QUIT            close the connection after a BYE
               | METRICS         Prometheus exposition as an OK payload;
-                                answered inline like PING
+                                answered inline like PING, as is the
+                                SHOW METRICS statement
               | TRACE DUMP [<id>]
                                 flight-recorder dump (Chrome trace JSON)
                                 as an OK payload, optionally one trace
@@ -93,7 +94,9 @@ val sleep_request : string -> float option
 (** [Some ms] when the line is a [SLEEP <ms>] request. *)
 
 val metrics_request : string -> bool
-(** Whether the line is the [METRICS] verb (case-insensitive). *)
+(** Whether the line is the [METRICS] verb or the [SHOW METRICS]
+    statement (case-insensitive, with an optional [;]): both are
+    answered on the event loop with the same exposition. *)
 
 val slo_request : string -> bool
 (** Whether the line is the [SLO] verb (case-insensitive): the latest

@@ -97,6 +97,7 @@ type completion = {
   c_trace : string;
   c_root : int;
   c_join : string option;
+  c_profile : Obs.Profile.t option;  (* the run's profile, with a slowlog *)
 }
 
 type conn = {
@@ -137,12 +138,10 @@ type t = {
   dump_requested : bool Atomic.t;  (* SIGUSR1 asked for a recorder dump *)
   scraper : Selfmon.Scrape.t option;
   mutable started_us : int;  (* set by [run]; feeds the uptime gauge *)
-  mutable metrics_text : string;
-      (* Cached exposition for worker-side SHOW METRICS.  Workers read
-         these two fields without a lock: a string-field read is a
-         single atomic load, so they see some complete recent text,
-         refreshed on the event loop. *)
-  mutable slo_text : string;  (* cached SHOW SLO / SLO-verb body *)
+  mutable slo_text : string;
+      (* Cached SHOW SLO / SLO-verb body.  Workers read it without a
+         lock: a string-field read is a single atomic load, so they see
+         some complete recent text, refreshed on the event loop. *)
   mutable slo_report : Obs.Slo.report option;  (* latest evaluation *)
 }
 
@@ -199,7 +198,6 @@ let create ?(config = default_config) catalog =
                ~config:{ base with Selfmon.Scrape.tick_us = ms * 1000 }
                registry));
     started_us = Obs.Trace.now_us ();
-    metrics_text = "";
     slo_text = "no SLO objectives configured (serve with --slo FILE)";
     slo_report = None;
   }
@@ -233,8 +231,11 @@ let m_shed t =
 let m_timed_out t =
   counter t "tempagg_net_timed_out_total" "Connections reaped for idleness"
 
-let m_errors t =
-  counter t "tempagg_net_errors_total" "Statements answered with ERR"
+let m_errors t kind =
+  Obs.Metrics.counter t.registry
+    ~help:"Statements answered with ERR, by statement kind"
+    ~labels:[ ("kind", kind) ]
+    "tempagg_net_errors_total"
 
 let m_degraded t =
   counter t "tempagg_net_degraded_total" "Replies marked degraded"
@@ -258,7 +259,8 @@ let refresh_admission_gauges t =
   Obs.Metrics.set_int (m_inflight t) (Admission.in_flight t.admission)
 
 (* Everything a scrape should see beyond the live counters: binary
-   identity, uptime, and flight-recorder pressure. *)
+   identity, uptime, flight-recorder pressure and the process-wide join
+   counters. *)
 let refresh_scrape_metrics t =
   refresh_admission_gauges t;
   Obs.Metrics.set
@@ -266,7 +268,51 @@ let refresh_scrape_metrics t =
        "Seconds since the server started (monotonic clock)")
     (float_of_int (Obs.Trace.now_us () - t.started_us) /. 1e6);
   Obs.Build_info.to_metrics t.registry;
-  Obs.Recorder.to_metrics t.registry
+  Obs.Recorder.to_metrics t.registry;
+  Join.Telemetry.to_metrics t.registry
+
+(* One connection's session gauges — live maintenance, the statistics
+   store and one set per partitioned relation — rendered into a scratch
+   registry.  Runs on the event loop while no worker owns the session:
+   [dispatch] only reads a line from that state. *)
+let session_exposition session =
+  let registry = Obs.Metrics.create () in
+  Live.Stats.to_metrics registry (Tsql.Session.stats session);
+  Obs.Stats.store_to_metrics registry (Tsql.Session.store session);
+  (* Partitioned-storage gauges, one set per partitioned relation. *)
+  List.iter
+    (fun (name, p) ->
+      let labels = [ ("relation", name) ] in
+      Obs.Metrics.set_int
+        (Obs.Metrics.gauge registry
+           ~help:"Storage shards per partitioned relation" ~labels
+           "tempagg_partition_shards")
+        (Storage.Partition.shard_count p);
+      let queries, scanned, pruned = Storage.Partition.pruning_totals p in
+      Obs.Metrics.set_int
+        (Obs.Metrics.gauge registry
+           ~help:"Planned queries against the partitioned relation" ~labels
+           "tempagg_partition_queries")
+        queries;
+      Obs.Metrics.set_int
+        (Obs.Metrics.gauge registry
+           ~help:"Shards scanned by planned queries" ~labels
+           "tempagg_partition_shards_scanned")
+        scanned;
+      Obs.Metrics.set_int
+        (Obs.Metrics.gauge registry
+           ~help:"Shards pruned by planned queries" ~labels
+           "tempagg_partition_shards_pruned")
+        pruned;
+      Obs.Metrics.set
+        (Obs.Metrics.gauge registry
+           ~help:
+             "Fraction of candidate shards pruned across planned queries"
+           ~labels "tempagg_partition_pruning_ratio")
+        (if scanned + pruned = 0 then 0.
+         else float_of_int pruned /. float_of_int (scanned + pruned)))
+    (Tsql.Session.partitions session);
+  Obs.Metrics.expose registry
 
 (* ---- self-scraping and SLO evaluation (event loop only) ---- *)
 
@@ -274,11 +320,11 @@ let refresh_scrape_metrics t =
    the self-relations, then re-evaluate the objectives against them —
    through the engine itself, so the SLO verdicts exercise the same
    aggregation path the verdicts are about.  Also the point where the
-   worker-visible introspection strings are rebuilt. *)
+   worker-visible SHOW SLO text is rebuilt. *)
 let scrape_tick t scraper ~now =
   refresh_scrape_metrics t;
   Selfmon.Scrape.scrape ~now_us:now scraper;
-  (match t.cfg.slo with
+  match t.cfg.slo with
   | [] -> ()
   | objectives -> (
       match Selfmon.Monitor.evaluate ~now_us:now scraper objectives with
@@ -286,8 +332,7 @@ let scrape_tick t scraper ~now =
           Obs.Slo.to_metrics t.registry report;
           t.slo_report <- Some report;
           t.slo_text <- Obs.Slo.report_to_string report
-      | Error msg -> t.slo_text <- "SLO evaluation failed: " ^ msg));
-  t.metrics_text <- Obs.Metrics.expose t.registry
+      | Error msg -> t.slo_text <- "SLO evaluation failed: " ^ msg)
 
 (* Bring one connection's self-relations up to the scraper's current
    version.  Called on the event loop while no worker owns the session
@@ -341,6 +386,9 @@ let execute t job =
   (* The queue wait ends the moment a worker picks the job up; the
      span was opened on the event loop at submit time. *)
   Obs.Trace.close_span job.j_queue;
+  (* Only a slowlog reads profiles: without one the statement stays on
+     the plain engine path. *)
+  let profile = Option.map (fun _ -> Obs.Profile.create ()) t.cfg.slowlog in
   let body () =
     match Protocol.sleep_request job.j_line with
     | Some ms ->
@@ -379,7 +427,7 @@ let execute t job =
             in
             match
               Tsql.Session.exec_statement ?memory_budget:t.cfg.memory_budget
-                ?deadline_ms ?on_error job.j_session stmt
+                ?deadline_ms ?on_error ?profile job.j_session stmt
             with
             | Ok outcome ->
                 let degraded =
@@ -423,6 +471,7 @@ let execute t job =
     c_trace = job.j_trace;
     c_root = job.j_root;
     c_join = join;
+    c_profile = profile;
   }
 
 let worker_loop t () =
@@ -442,10 +491,16 @@ let worker_loop t () =
 
 (* ---- connections ---- *)
 
+(* TCP connections get private subdirectories; Stdio's one connection
+   gets the directory itself, so [serve --script F --data-dir D] leaves
+   table [t] at [D/t]. *)
 let conn_data_dir t id =
-  Option.map
-    (fun dir -> Filename.concat dir (Printf.sprintf "conn-%d" id))
-    t.cfg.data_dir
+  match t.cfg.transport with
+  | Stdio -> t.cfg.data_dir
+  | Tcp _ ->
+      Option.map
+        (fun dir -> Filename.concat dir (Printf.sprintf "conn-%d" id))
+        t.cfg.data_dir
 
 let new_session t id =
   (* A private statistics store per connection: worker domains then
@@ -463,10 +518,7 @@ let new_session t id =
     (fun (name, dir) ->
       Tsql.Session.add_partition session name (Storage.Partition.load dir))
     t.cfg.partitions;
-  Tsql.Session.set_introspection
-    ~metrics:(fun () -> t.metrics_text)
-    ~slo:(fun () -> t.slo_text)
-    session;
+  Tsql.Session.set_introspection ~slo:(fun () -> t.slo_text) session;
   session
 
 let add_conn t ~tcp ~fd ~wfd =
@@ -506,6 +558,13 @@ let close_conn t conn =
 
 let send conn text = if text <> "" then Queue.push text conn.c_out
 
+(* A line refused on the event loop before it has a statement kind — an
+   oversized line, a malformed TRACE prefix or dump id.  It counts as an
+   error like any other ERR, so a script holding one still fails. *)
+let reject t conn msg =
+  Obs.Metrics.inc (m_errors t "protocol");
+  send conn (Protocol.encode (Protocol.Err msg))
+
 (* A connection is finished once no worker owns it, its output is
    flushed, and it either asked to close (QUIT, oversize, reap) or hit
    EOF with nothing left to dispatch. *)
@@ -532,7 +591,7 @@ let extract_lines conn =
 
 let observe_completion t (c : completion) =
   if c.c_degraded then Obs.Metrics.inc (m_degraded t);
-  if c.c_error then Obs.Metrics.inc (m_errors t);
+  if c.c_error then Obs.Metrics.inc (m_errors t c.c_kind);
   let elapsed_ms = float_of_int c.c_elapsed_us /. 1000. in
   let slow =
     match t.cfg.slowlog with
@@ -557,12 +616,23 @@ let observe_completion t (c : completion) =
   Obs.Metrics.inc (m_requests t c.c_kind);
   Obs.Histogram.observe (m_latency t c.c_kind) (float_of_int c.c_elapsed_us);
   match t.cfg.slowlog with
-  | Some log ->
-      if slow then
-        ignore
-          (Obs.Slowlog.observe log ~kind:c.c_kind ~statement:c.c_statement
-             ~elapsed_ms ?join:c.c_join ~trace:c.c_trace ())
-  | None -> ()
+  | Some log when slow ->
+      (* Only a query planned against a base relation fills a profile. *)
+      let detail =
+        match c.c_profile with
+        | Some p when (not c.c_error) && Obs.Profile.stats_source p <> None ->
+            Some (Obs.Profile.to_string p)
+        | _ -> None
+      in
+      let span_labels =
+        match Obs.Recorder.find c.c_trace with
+        | Some p -> List.map (fun (s : Obs.Trace.span) -> s.label) p.p_spans
+        | None -> []
+      in
+      ignore
+        (Obs.Slowlog.observe log ~kind:c.c_kind ~statement:c.c_statement
+           ~elapsed_ms ?detail ~span_labels ?join:c.c_join ~trace:c.c_trace ())
+  | _ -> ()
 
 (* Dispatch a connection's buffered lines until a statement goes
    outstanding (or the connection starts closing).  Control verbs are
@@ -586,24 +656,8 @@ let rec dispatch t conn =
           conn.c_closing <- true
         end
         else if String.length line > max_line_bytes then begin
-          send conn
-            (Protocol.encode
-               (Protocol.Err
-                  (Printf.sprintf "request exceeds %d bytes" max_line_bytes)));
-          dispatch t conn
-        end
-        else if Protocol.metrics_request line then begin
-          (* Prometheus exposition inline, like PING: a scrape must work
-             even when every worker is busy. *)
-          refresh_scrape_metrics t;
-          let payload =
-            List.filter
-              (fun l -> l <> "")
-              (String.split_on_char '\n' (Obs.Metrics.expose t.registry))
-          in
-          send conn
-            (Protocol.encode
-               (Protocol.Ok_reply { degraded = false; trace = None; payload }));
+          reject t conn
+            (Printf.sprintf "request exceeds %d bytes" max_line_bytes);
           dispatch t conn
         end
         else if Protocol.slo_request line then begin
@@ -622,7 +676,7 @@ let rec dispatch t conn =
         else
           match Protocol.trace_dump_request line with
           | Some (Error msg) ->
-              send conn (Protocol.encode (Protocol.Err msg));
+              reject t conn msg;
               dispatch t conn
           | Some (Ok trace) ->
               let payload =
@@ -638,7 +692,25 @@ let rec dispatch t conn =
           | None -> (
               match Protocol.split_trace line with
               | Error msg ->
-                  send conn (Protocol.encode (Protocol.Err msg));
+                  reject t conn msg;
+                  dispatch t conn
+              | Ok (supplied, stmt) when Protocol.metrics_request stmt ->
+                  (* METRICS and SHOW METRICS answer inline, like PING: a
+                     scrape must work even when every worker is busy.
+                     The shared registry comes first, then the asking
+                     connection's own session gauges. *)
+                  refresh_scrape_metrics t;
+                  let payload =
+                    List.filter
+                      (fun l -> l <> "")
+                      (String.split_on_char '\n'
+                         (Obs.Metrics.expose t.registry
+                         ^ session_exposition conn.c_session))
+                  in
+                  send conn
+                    (Protocol.encode
+                       (Protocol.Ok_reply
+                          { degraded = false; trace = supplied; payload }));
                   dispatch t conn
               | Ok (supplied, stmt) ->
                   (* The last race-free moment to swap in fresh
@@ -768,10 +840,8 @@ let read_conn t conn =
       conn.c_last_us <- now_us ();
       Buffer.add_subbytes conn.c_inbuf buf 0 n;
       if Buffer.length conn.c_inbuf > max_line_bytes then begin
-        send conn
-          (Protocol.encode
-             (Protocol.Err
-                (Printf.sprintf "request exceeds %d bytes" max_line_bytes)));
+        reject t conn
+          (Printf.sprintf "request exceeds %d bytes" max_line_bytes);
         conn.c_closing <- true
       end
       else begin
@@ -846,13 +916,11 @@ let run ?(signals = false) t =
   ignore (m_accepted t);
   ignore (m_shed t);
   ignore (m_timed_out t);
-  ignore (m_errors t);
   ignore (m_degraded t);
   refresh_scrape_metrics t;
   (* The first scrape only records the delta baseline; intervals start
      accruing from server start, not from the first later tick. *)
   Option.iter (fun s -> scrape_tick t s ~now:started_us) t.scraper;
-  t.metrics_text <- Obs.Metrics.expose t.registry;
   let workers =
     Array.init t.cfg.domains (fun _ -> Domain.spawn (worker_loop t))
   in
@@ -1024,7 +1092,14 @@ let run ?(signals = false) t =
     accepted = cval (m_accepted t);
     requests = Admission.admitted_total t.admission;
     shed = cval (m_shed t);
-    errors = cval (m_errors t);
+    errors =
+      List.fold_left
+        (fun acc (s : Obs.Metrics.sample) ->
+          if s.s_name = "tempagg_net_errors_total" then
+            acc + int_of_float s.s_value
+          else acc)
+        0
+        (Obs.Metrics.samples t.registry);
     degraded = cval (m_degraded t);
     timed_out = cval (m_timed_out t);
     elapsed_s = float_of_int (now_us () - started_us) /. 1e6;
@@ -1035,12 +1110,50 @@ let run ?(signals = false) t =
       Option.map (fun r -> Obs.Slo.report_to_string r) t.slo_report;
   }
 
+(* One row per statement kind, from the per-kind latency histograms
+   (percentiles within the histogram's 5% error; count, mean and max
+   exact) and error counters.  A "protocol" row has errors but no
+   latencies: its lines never ran. *)
+let kind_table registry =
+  let samples = Obs.Metrics.samples registry in
+  let kinds name =
+    List.filter_map
+      (fun (s : Obs.Metrics.sample) ->
+        if s.s_name = name then List.assoc_opt "kind" s.s_labels else None)
+      samples
+  in
+  let timed = kinds "tempagg_net_latency_us" in
+  let row kind =
+    let labels = [ ("kind", kind) ] in
+    let h =
+      if List.mem kind timed then
+        Obs.Metrics.histogram registry ~labels "tempagg_net_latency_us"
+      else Obs.Histogram.create ()
+    in
+    Printf.sprintf "  %-15s %6d %6.0f %10.1f %10.1f %10.1f %10.1f %10.1f\n"
+      kind (Obs.Histogram.count h)
+      (Option.value ~default:0.
+         (Obs.Metrics.value registry ~labels "tempagg_net_errors_total"))
+      (Obs.Histogram.mean h)
+      (Obs.Histogram.percentile h 0.5)
+      (Obs.Histogram.percentile h 0.9)
+      (Obs.Histogram.percentile h 0.99)
+      (Obs.Histogram.max_value h)
+  in
+  match List.sort_uniq compare (timed @ kinds "tempagg_net_errors_total") with
+  | [] -> ""
+  | all ->
+      Printf.sprintf "  %-15s %6s %6s %10s %10s %10s %10s %10s\n" "kind" "ops"
+        "errs" "mean-us" "p50-us" "p90-us" "p99-us" "max-us"
+      ^ String.concat "" (List.map row all)
+
 let report_to_string r =
   Printf.sprintf
     "server: %d connection(s), %d request(s) in %.3f s — %d shed, %d \
-     error(s), %d degraded, %d idle-reaped, drain %s%s\n%s"
+     error(s), %d degraded, %d idle-reaped, drain %s%s\n%s%s"
     r.accepted r.requests r.elapsed_s r.shed r.errors r.degraded r.timed_out
     (if r.drained then "clean" else "forced")
     (if r.scrapes > 0 then Printf.sprintf ", %d self-scrape(s)" r.scrapes
      else "")
+    (kind_table r.metrics)
     (match r.slo_summary with None -> "" | Some s -> s ^ "\n")

@@ -5,8 +5,11 @@
 
     {b Architecture.}  One event-loop domain owns all socket I/O: it
     accepts connections, reads request lines, answers control verbs
-    ([PING]/[QUIT]/[METRICS]/[SLO]/[TRACE DUMP]) directly, and hands
-    statements to the {!Admission} controller.  A fixed pool of worker domains executes
+    ([PING]/[QUIT]/[METRICS]/[SLO]/[TRACE DUMP], and the [SHOW METRICS]
+    statement as [METRICS]) directly, and hands statements to the
+    {!Admission} controller.  [METRICS] answers with the shared
+    registry followed by the asking connection's own session gauges
+    (live maintenance, statistics store, [tempagg_partition_*]).  A fixed pool of worker domains executes
     admitted statements against the submitting connection's own
     {!Tsql.Session} (created from the shared catalog with a private
     statistics store, so worker domains never share mutable state) and
@@ -47,10 +50,11 @@ type transport =
       (** Listen on this TCP port on all interfaces; [0] picks an
           ephemeral port (see {!port}). *)
   | Stdio
-      (** Serve exactly one connection over stdin/stdout — the stdin
-          script loop as one more transport behind the same dispatcher
-          (admission control, workers, metrics and drain included).
-          EOF on stdin drains and exits. *)
+      (** Serve exactly one connection over stdin/stdout behind the same
+          dispatcher (admission control, workers, metrics and drain
+          included).  EOF on stdin drains and exits.  This is also how
+          a statement script runs: [serve --script F] opens [F] onto
+          stdin. *)
 
 type config = {
   transport : transport;
@@ -77,8 +81,10 @@ type config = {
   cache_capacity : int;  (** Per-session query-cache entries. *)
   adaptive : bool;  (** Stats-driven planning (per-session store). *)
   data_dir : string option;
-      (** Base directory for server-side [CREATE TABLE] partitions;
-          each connection gets a private subdirectory. *)
+      (** Base directory for server-side [CREATE TABLE] partitions,
+          created with any missing parents.  Each TCP connection gets a
+          private [conn-<id>] subdirectory; the {!Stdio} connection gets
+          the directory itself. *)
   partitions : (string * string) list;
       (** [(name, dir)] time-partitioned bases bound into every
           connection's session.  Each session loads its own handle from
@@ -87,9 +93,12 @@ type config = {
   slowlog : Obs.Slowlog.t option;
       (** Capture statements at or over its threshold (fed from the
           event loop; entries carry kind, statement, latency, the
-          request id and — for joins — the chosen strategy).  The
-          threshold doubles as the flight recorder's "slow" pin
-          trigger. *)
+          request id, the labels of the pinned trace's spans and — for
+          joins — the chosen strategy).  With a slowlog every statement
+          runs with an {!Obs.Profile}, so a slow SELECT against a base
+          relation carries the profile of its own run; without one no
+          profile is made.  The threshold doubles as the flight
+          recorder's "slow" pin trigger. *)
   recorder_out : string option;
       (** Where [SIGUSR1] (with [signals]) and the final drain write
           the flight-recorder dump (Chrome trace JSON, atomic
@@ -119,7 +128,11 @@ type report = {
   accepted : int;  (** Connections accepted (including over-capacity). *)
   requests : int;  (** Statements admitted and executed. *)
   shed : int;  (** Requests refused with [BUSY]. *)
-  errors : int;  (** Statements answered with [ERR]. *)
+  errors : int;
+      (** Lines answered with [ERR]: the sum over kinds of
+          [tempagg_net_errors_total{kind}].  A line refused on the event
+          loop (oversized, or a malformed [TRACE] prefix or dump id)
+          counts under kind [protocol]. *)
   degraded : int;  (** Replies marked [degraded]. *)
   timed_out : int;  (** Connections reaped for idleness. *)
   elapsed_s : float;
@@ -127,8 +140,9 @@ type report = {
       (** Work finished and flushed before the drain deadline ([false]
           when the deadline forced eviction). *)
   metrics : Obs.Metrics.t;
-      (** Registry with the server gauges/counters and per-kind latency
-          histograms, ready for {!Obs.Metrics.expose}. *)
+      (** Registry with the server gauges/counters, the per-kind latency
+          histograms and error counters, and the join counters, ready
+          for {!Obs.Metrics.expose}. *)
   scrapes : int;  (** Self-scrape ticks taken (0 with scraping off). *)
   slo_summary : string option;
       (** Final rendered burn-rate report — per-objective verdicts,
@@ -159,3 +173,7 @@ val shutdown : t -> unit
     signal handler; idempotent. *)
 
 val report_to_string : report -> string
+(** The totals line, one row per statement kind (ops, errors, mean,
+    p50, p90, p99 and max latency in microseconds, from
+    [tempagg_net_latency_us{kind}] and [tempagg_net_errors_total{kind}]),
+    then the SLO summary when there is one. *)

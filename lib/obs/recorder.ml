@@ -55,9 +55,7 @@ let elapsed_of spans =
 
 let pin ~trace ~reason =
   if trace <> "" then begin
-    let spans =
-      List.filter (fun s -> s.Trace.trace = trace) (Trace.recorded ())
-    in
+    let spans = Trace.recorded ~trace () in
     if spans <> [] then begin
       let entry =
         {
@@ -104,7 +102,7 @@ let visible_spans ?trace () =
     end
     else acc
   in
-  let acc = List.fold_left take [] (Trace.recorded ()) in
+  let acc = List.fold_left take [] (Trace.recorded ?trace ()) in
   let acc =
     List.fold_left
       (fun acc p -> List.fold_left take acc p.p_spans)
@@ -151,9 +149,9 @@ let trace_status () =
     match Trace.current_trace () with "" -> "(none)" | t -> t
   in
   Printf.sprintf
-    "trace: current=%s armed=%b ring-capacity=%d/domain ring-spans=%d \
+    "trace: current=%s ring-capacity=%d/domain ring-spans=%d \
      ring-dropped=%d"
-    current (Trace.is_armed ())
+    current
     (Trace.ring_capacity_now ())
     occupancy dropped
 

@@ -38,7 +38,7 @@ val to_metrics : Metrics.t -> unit
 
 val trace_status : unit -> string
 (** One-line tracing context for [SHOW TRACE]: current trace id on the
-    calling domain, armed state, ring capacity and pressure. *)
+    calling domain, ring capacity and pressure. *)
 
 val summary : unit -> string
 (** Multi-line retention state for [SHOW RECORDER]: ring pressure plus

@@ -1,7 +1,7 @@
 (** Slow-query capture: a threshold-triggered bounded ring of statement
     records, dumped as JSON.
 
-    The serve loop feeds every statement's latency through {!observe};
+    The server feeds every statement's latency through {!observe};
     entries at or above the threshold are kept (newest evict oldest,
     but {!hits} and {!worst} cover everything ever observed).  Each
     entry carries the statement text — ready to feed back to
@@ -14,7 +14,7 @@ type entry = {
   elapsed_ms : float;
   detail : string option;  (** Profile report text, when captured. *)
   span_labels : string list;
-      (** Labels of spans recorded during the statement (tracing armed). *)
+      (** Labels of the statement's spans, from its pinned trace. *)
   join : string option;
       (** Chosen join strategy, e.g. ["sweep-join"]; a fallback retry is
           marked, e.g. ["sweep-join -> nested-loop-join (fallback)"]. *)

@@ -1,22 +1,17 @@
 (* Hierarchical tracing spans, recorded lock-free per domain.
 
-   Two recording sinks share one instrumentation point:
+   Spans land in one sink: a bounded per-domain ring of the most recent
+   spans, on by default (see [set_ring_capacity]).  The ring is what
+   makes request-scoped post-mortems possible on a live server: when a
+   request turns out slow, shed, or degraded, [Recorder.pin] lifts its
+   spans out of the rings before they are overwritten.  A profiling run
+   (the CLI's --trace, the bench's trace artifact) sizes the ring for
+   the whole run and dumps [recorded ()] at the end.
 
-   - The armed buffer: unbounded per-domain lists of completed spans,
-     toggled by arm/disarm.  This is the profiling mode the bench and
-     the serve loop use — capture everything for one run, export it,
-     clear it.
-   - The flight-recorder ring: a bounded per-domain ring of the most
-     recent spans, on by default (see [set_ring_capacity]).  The ring
-     is what makes request-scoped post-mortems possible on a live
-     server without arming: when a request turns out slow, shed, or
-     degraded, [Recorder.pin] lifts its spans out of the rings before
-     they are overwritten.
-
-   With both sinks off the only cost on a traced code path is two
-   atomic loads — the <3% bar the sweep hot path is held to.  Recording
-   itself never takes a lock, so Parallel shards on separate domains
-   trace without contending.
+   With the ring off the only cost on a traced code path is one atomic
+   load — the <3% bar the sweep hot path is held to.  Recording itself
+   never takes a lock, so Parallel shards on separate domains trace
+   without contending.
 
    Every span carries the request (trace) id of the statement it ran
    under: [with_span] inherits it from the innermost open span on the
@@ -40,21 +35,20 @@ type span = {
   mutable attrs : (string * string) list;
 }
 
-(* Per-domain recording state, epoch-stamped so re-arming starts clean
-   without coordinating with every domain that ever traced. *)
+(* Per-domain recording state, epoch-stamped so a resize or [clear]
+   starts clean without coordinating with every domain that ever
+   traced. *)
 type buffer = {
   mutable buf_epoch : int;
-  mutable closed : span list;
   mutable stack : span list;
-  (* Flight-recorder ring: lazily allocated to the global capacity,
-     overwriting the oldest span once full. *)
+  (* The ring: lazily allocated to the global capacity, overwriting the
+     oldest span once full. *)
   mutable ring : span array;
   mutable ring_next : int;
   mutable ring_filled : int;
   mutable ring_dropped : int;
 }
 
-let armed_flag = Atomic.make false
 let epoch = Atomic.make 0
 let next_id = Atomic.make 1
 
@@ -87,7 +81,6 @@ let dls_key =
   Domain.DLS.new_key (fun () ->
       {
         buf_epoch = -1;
-        closed = [];
         stack = [];
         ring = [||];
         ring_next = 0;
@@ -100,7 +93,6 @@ let buffer () =
   let e = Atomic.get epoch in
   if b.buf_epoch <> e then begin
     b.buf_epoch <- e;
-    b.closed <- [];
     b.stack <- [];
     b.ring <- [||];
     b.ring_next <- 0;
@@ -110,8 +102,7 @@ let buffer () =
   end;
   b
 
-let is_armed () = Atomic.get armed_flag
-let recording () = Atomic.get armed_flag || Atomic.get ring_capacity > 0
+let recording () = Atomic.get ring_capacity > 0
 let ring_capacity_now () = Atomic.get ring_capacity
 
 (* Changing the capacity bumps the epoch so stale rings (allocated at
@@ -126,15 +117,6 @@ let set_ring_capacity n =
    same domain. *)
 let open_tbl : (int, span) Hashtbl.t = Hashtbl.create 64
 
-let arm () =
-  with_lock registry_mutex (fun () ->
-      registry := [];
-      Hashtbl.reset open_tbl);
-  Atomic.incr epoch;
-  Atomic.set armed_flag true
-
-let disarm () = Atomic.set armed_flag false
-
 let current () =
   if not (recording ()) then None
   else
@@ -145,11 +127,10 @@ let current_trace () =
   else
     match (buffer ()).stack with s :: _ -> s.trace | [] -> ""
 
-(* Append a completed span to whichever sinks are on.  The ring
-   overwrites its oldest entry once full, counting the overwrite as a
-   drop so the recorder can report pressure. *)
+(* Append a completed span to the ring.  It overwrites its oldest entry
+   once full, counting the overwrite as a drop so the recorder can
+   report pressure. *)
 let record b span =
-  if Atomic.get armed_flag then b.closed <- span :: b.closed;
   let cap = Atomic.get ring_capacity in
   if cap > 0 then begin
     if Array.length b.ring <> cap then begin
@@ -234,19 +215,22 @@ let sort_spans all =
       | c -> c)
     (List.filter (fun s -> s.stop_us >= 0) all)
 
-let spans () =
-  let buffers = with_lock registry_mutex (fun () -> !registry) in
-  sort_spans (List.concat_map (fun b -> b.closed) buffers)
-
-(* Ring contents across all domains.  Reads race with concurrent
-   recording on other domains — the recorder tolerates a torn view (a
-   span may be missed or seen twice across snapshots), same as
-   [spans]. *)
-let recorded () =
+(* Ring contents across all domains, filtered before the sort so pinning
+   one request costs a scan of the rings, not a sort of them.  Reads
+   race with concurrent recording on other domains — the recorder
+   tolerates a torn view (a span may be missed or seen twice across
+   snapshots). *)
+let recorded ?trace () =
   let buffers = with_lock registry_mutex (fun () -> !registry) in
   let of_ring b =
-    let n = min b.ring_filled (Array.length b.ring) in
-    List.init n (fun i -> b.ring.(i))
+    let acc = ref [] in
+    for i = min b.ring_filled (Array.length b.ring) - 1 downto 0 do
+      let s = b.ring.(i) in
+      match trace with
+      | Some t when not (String.equal s.trace t) -> ()
+      | _ -> acc := s :: !acc
+    done;
+    !acc
   in
   sort_spans (List.concat_map of_ring buffers)
 
@@ -323,5 +307,3 @@ let to_chrome_json spans =
     spans;
   Buffer.add_string buf "]}\n";
   Buffer.contents buf
-
-let export_chrome () = to_chrome_json (spans ())

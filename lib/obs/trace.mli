@@ -1,16 +1,14 @@
 (** Hierarchical tracing spans over a shared monotonic clock.
 
-    Spans feed two sinks.  Arming ({!arm}/{!disarm}) records everything
-    into unbounded per-domain buffers for {!spans}/{!export_chrome} —
-    the profiling mode.  Independently, a bounded per-domain ring (the
-    flight recorder, on by default — see {!set_ring_capacity}) always
-    holds the most recent spans, so a live server can reconstruct a
-    request after the fact without having been armed.  With both sinks
-    off an instrumented code path costs two atomic loads.  Recording
-    never takes a lock, so [Parallel] shards running on separate
-    domains trace concurrently.  Completed spans export as Chrome
-    [trace_event] JSON that loads in [about://tracing] or Perfetto, one
-    timeline row per domain.
+    Spans feed one sink: a bounded per-domain ring (the flight
+    recorder, on by default — see {!set_ring_capacity}) that holds the
+    most recent spans, so a live server can reconstruct a request after
+    the fact.  A profiling run sizes the ring for the whole run and
+    exports {!recorded} at the end.  With the ring off an instrumented
+    code path costs one atomic load.  Recording never takes a lock, so
+    [Parallel] shards running on separate domains trace concurrently.
+    Completed spans export as Chrome [trace_event] JSON that loads in
+    [about://tracing] or Perfetto, one timeline row per domain.
 
     Every span carries the request (trace) id it ran under, inherited
     from the enclosing span on the same domain or passed explicitly at
@@ -32,27 +30,16 @@ val now_us : unit -> int
     process-local epoch, monotonized across domains with a CAS max so
     successive readings never run backwards even if the wall clock
     steps.  Exposed for callers that need durations immune to clock
-    adjustments (the serve loop's latency reports, the network server's
-    timeouts). *)
-
-val arm : unit -> unit
-(** Start recording.  Spans from any previous arming are discarded. *)
-
-val disarm : unit -> unit
-(** Stop recording.  Already-recorded spans stay available to {!spans}. *)
-
-val is_armed : unit -> bool
+    adjustments (the network server's latencies and timeouts). *)
 
 val recording : unit -> bool
-(** True when any sink is on: armed, or ring capacity > 0.  Callers
-    that gate optional attribute work (statement text, shard counts)
-    should check this, not {!is_armed}, so the flight recorder sees the
-    same detail a profiling run would. *)
+(** True when the ring is on (capacity > 0).  Callers that gate
+    optional attribute work (statement text, shard counts) check this. *)
 
 val set_ring_capacity : int -> unit
-(** Resize the per-domain flight-recorder ring (spans kept per domain).
-    [0] disables the ring entirely, restoring the disarmed zero-cost
-    path.  Resizing discards current ring contents.  Default 2048. *)
+(** Resize the per-domain ring (spans kept per domain).  [0] turns
+    recording off entirely, the zero-cost path.  Resizing discards
+    current ring contents.  Default 2048. *)
 
 val ring_capacity_now : unit -> int
 
@@ -96,26 +83,21 @@ val current_trace : unit -> string
 (** Trace id of the innermost open span on this domain, for handing to
     a child domain's [with_span ?trace].  [""] when there is none. *)
 
-val spans : unit -> span list
-(** All completed spans from the current arming, ordered by start time. *)
-
-val recorded : unit -> span list
+val recorded : ?trace:string -> unit -> span list
 (** The flight-recorder ring contents across all domains, ordered by
-    start time.  A racy snapshot: concurrent recording on other domains
-    may tear it, which the recorder tolerates. *)
+    start time; only the spans of request [trace] when given.  A racy
+    snapshot: concurrent recording on other domains may tear it, which
+    the recorder tolerates. *)
 
 val ring_stats : unit -> int * int
 (** [(occupancy, dropped)] summed over all domain rings: spans
     currently held, and spans overwritten since the last resize. *)
 
 val clear : unit -> unit
-(** Drop recorded spans without changing the armed state. *)
+(** Drop recorded spans without changing the ring capacity. *)
 
 val to_chrome_json : span list -> string
 (** Chrome [trace_event] JSON ([{"traceEvents": [...]}]): one complete
     ("ph":"X") event per span with ts/dur in microseconds, tid = domain
     id, attrs (and trace id) as event args, plus thread-name metadata
     per domain. *)
-
-val export_chrome : unit -> string
-(** [to_chrome_json (spans ())]. *)

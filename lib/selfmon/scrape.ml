@@ -48,9 +48,8 @@ let default_config =
     retention_us = 3_600_000_000;
     raw_us = 300_000_000;
     compact_window_us = 60_000_000;
-    latency_families = [ "tempagg_net_latency_us"; "tempagg_serve_latency_us" ];
-    error_families =
-      [ "tempagg_net_errors_total"; "tempagg_serve_errors_total" ];
+    latency_families = [ "tempagg_net_latency_us" ];
+    error_families = [ "tempagg_net_errors_total" ];
   }
 
 let metrics_name = "_metrics"

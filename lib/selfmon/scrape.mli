@@ -32,8 +32,8 @@ type config = {
 }
 
 val default_config : config
-(** 1s ticks, 1h retention, 5m raw, 1m windows, the net and serve
-    latency/error families. *)
+(** 1s ticks, 1h retention, 5m raw, 1m windows, the network server's
+    per-kind latency/error families. *)
 
 val metrics_name : string
 (** ["_metrics"]: (name, labels, value). *)

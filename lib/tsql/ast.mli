@@ -129,14 +129,15 @@ type statement =
       (** Print every partitioned relation's shard layout: ranges,
           cardinalities, I/O counters and pruning totals. *)
   | Show_trace
-      (** Print the tracing context: current request id, armed state,
+      (** Print the tracing context: current request id and the
           flight-recorder ring capacity and pressure. *)
   | Show_recorder
       (** Print the flight recorder's retention state: ring pressure
           plus one line per pinned trace (id, reason, span count). *)
   | Show_metrics
-      (** Print the host's metrics registry (Prometheus text
-          exposition) — the in-band twin of the METRICS protocol verb. *)
+      (** The in-band twin of the METRICS protocol verb.  The server
+          answers it on its event loop, as METRICS, before it reaches a
+          session. *)
   | Show_slo
       (** Print the latest SLO burn-rate report (serve-mode hosts with
           [--slo]; other sessions answer with a pointer at the flag). *)

@@ -73,9 +73,6 @@ type t = {
       (* Degradations reported by the most recent statement — how the
          network server learns a guarded SELECT survived by falling
          back rather than completing cleanly. *)
-  mutable metrics_provider : (unit -> string) option;
-      (* SHOW METRICS body — the host (CLI, network server) decides what
-         registry backs it. *)
   mutable slo_provider : (unit -> string) option;  (* SHOW SLO body *)
 }
 
@@ -136,7 +133,6 @@ let create ?(cache_capacity = 128) ?(adaptive = true) ?data_dir
       split_threshold;
       last_join = None;
       last_degradations = 0;
-      metrics_provider = None;
       slo_provider = None;
     }
   in
@@ -145,10 +141,16 @@ let create ?(cache_capacity = 128) ?(adaptive = true) ?data_dir
     (Catalog.names source);
   t
 
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
+
 let ensure_data_dir t =
   match t.data_dir with
   | Some dir ->
-      if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+      mkdir_p dir;
       dir
   | None ->
       let dir = Filename.temp_dir "tempagg-session" "" in
@@ -791,14 +793,10 @@ let show_stats t = Ok (Ack (Obs.Stats.store_to_string t.store))
 let show_trace () = Ok (Ack (Obs.Recorder.trace_status ()))
 let show_recorder () = Ok (Ack (Obs.Recorder.summary ()))
 
-let set_introspection ?metrics ?slo t =
-  (match metrics with Some f -> t.metrics_provider <- Some f | None -> ());
-  match slo with Some f -> t.slo_provider <- Some f | None -> ()
+let set_introspection ~slo t = t.slo_provider <- Some slo
 
-let show_metrics t =
-  match t.metrics_provider with
-  | Some f -> Ok (Ack (f ()))
-  | None -> Ok (Ack "no metrics registry attached to this session")
+let show_metrics () =
+  Ok (Ack "SHOW METRICS is answered by the server (serve), like METRICS")
 
 let show_slo t =
   match t.slo_provider with
@@ -857,7 +855,7 @@ let exec_statement ?memory_budget ?deadline_ms ?on_error ?profile t stmt =
   | Ast.Show_partitions -> show_partitions t
   | Ast.Show_trace -> show_trace ()
   | Ast.Show_recorder -> show_recorder ()
-  | Ast.Show_metrics -> show_metrics t
+  | Ast.Show_metrics -> show_metrics ()
   | Ast.Show_slo -> show_slo t
 
 let last_degradations t = t.last_degradations

@@ -45,8 +45,8 @@ val create :
     way.
 
     [data_dir] is where [CREATE TABLE ... PARTITION BY RANGE (vt)]
-    places partition directories (a temp dir is made on first use when
-    absent); [split_threshold] caps a partition shard's cardinality
+    places partition directories (created with any missing parents on
+    first use; a temp dir is made when absent); [split_threshold] caps a partition shard's cardinality
     before it splits (defaulting to {!Storage.Partition}'s). *)
 
 val exec : t -> string -> (outcome, string) result
@@ -117,12 +117,13 @@ val replace_base : t -> string -> Relation.Trel.t -> unit
     @raise Invalid_argument if the name exists with a different
     schema. *)
 
-val set_introspection :
-  ?metrics:(unit -> string) -> ?slo:(unit -> string) -> t -> unit
-(** Attach the [SHOW METRICS] / [SHOW SLO] bodies.  Each statement calls
-    the provider at execution time; sessions without one answer with a
-    pointer at the flag that would attach it.  Providers must be safe to
-    call from whichever thread executes statements. *)
+val set_introspection : slo:(unit -> string) -> t -> unit
+(** Attach the [SHOW SLO] body.  Each statement calls the provider at
+    execution time; sessions without one answer with a pointer at the
+    flag that would attach it.  The provider must be safe to call from
+    whichever thread executes statements.  [SHOW METRICS] never reaches
+    a session through the server, which answers it on its event loop;
+    a session answers it with a pointer there. *)
 
 val add_partition : t -> string -> Storage.Partition.t -> unit
 (** Register an opened {!Storage.Partition} as a base relation
@@ -132,4 +133,4 @@ val add_partition : t -> string -> Storage.Partition.t -> unit
 
 val partitions : t -> (string * Storage.Partition.t) list
 (** The partitioned base relations, sorted by name — the [SHOW
-    PARTITIONS] rows and the serve loop's per-relation shard gauges. *)
+    PARTITIONS] rows and the server's per-relation shard gauges. *)

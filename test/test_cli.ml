@@ -247,18 +247,28 @@ let test_serve_script () =
              INSERT INTO Employed VALUES ('Zoe', 60000) DURING [12,18];\n\
              SELECT * FROM hc DURING [8,20];\n\
              DELETE FROM Employed WHERE Name = 'Zoe';\n\
-             DROP VIEW hc\n");
-      let code, out = run [ "serve"; "--echo"; "--script"; script ] in
+             DROP VIEW hc\n\
+             SELECT MAX(Salary) FROM Employed;\n\
+             METRICS\n");
+      let slowlog = Filename.concat dir "slowlog.json" in
+      let code, out =
+        run [ "serve"; "--script"; script; "--slowlog-out"; slowlog ]
+      in
       Alcotest.(check int) "exit 0" 0 code;
-      (* --echo shows the view's rows before and after the write... *)
+      (* Every line is answered: the view's rows before and after the
+         write... *)
       check_contains out "| [18,20] |";
-      (* ...and the closing report aggregates latency per statement kind
-         plus the live-subsystem counters. *)
-      check_contains out "serve: 6 op(s)";
+      (* ...the live-subsystem counters in the METRICS reply... *)
+      check_contains out "tempagg_live_cache";
+      (* ...and the closing report aggregates latency per statement
+         kind. *)
+      check_contains out "7 request(s)";
       check_contains out "select";
       check_contains out "create-view";
       check_contains out "p99-us";
-      check_contains out "cache")
+      check_contains
+        (In_channel.with_open_text slowlog In_channel.input_all)
+        "\"profile\": \"query:")
 
 let test_serve_missing_script () =
   with_tempdir (fun dir ->
@@ -268,13 +278,45 @@ let test_serve_missing_script () =
       Alcotest.(check bool) "nonzero exit" true (code <> 0);
       check_contains out "nope.tsql")
 
+(* A line that fails to parse answers ERR, as does a malformed TRACE
+   prefix; the next line still runs, and the run fails. *)
 let test_serve_parse_error () =
   with_tempdir (fun dir ->
       let script = Filename.concat dir "bad.tsql" in
       Out_channel.with_open_text script (fun oc ->
-          output_string oc "SELECT FROM ;\n");
-      let code, _ = run [ "serve"; "--script"; script ] in
-      Alcotest.(check bool) "nonzero exit" true (code <> 0))
+          output_string oc
+            "SELECT FROM ;\n\
+             TRACE bad!id SELECT 1\n\
+             SELECT COUNT(Name) FROM Employed\n");
+      let code, out = run [ "serve"; "--script"; script ] in
+      Alcotest.(check bool) "nonzero exit" true (code <> 0);
+      check_contains out "ERR ";
+      check_contains out "| [18,20] |";
+      check_contains out "2 line(s) answered ERR")
+
+(* A missing --data-dir is created with its parents, and over stdin the
+   one connection's tables land in DIR itself. *)
+let test_serve_data_dir () =
+  let base = Filename.temp_dir "tempagg_cli" "" in
+  Fun.protect
+    ~finally:(fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote base)))
+    (fun () ->
+      let script = Filename.concat base "ops.tsql" in
+      Out_channel.with_open_text script (fun oc ->
+          output_string oc
+            "CREATE TABLE t (sensor STRING, value INT) PARTITION BY RANGE \
+             (vt) (100, 200);\n\
+             INSERT INTO t VALUES ('a', 10) DURING [5,150];\n\
+             SELECT COUNT(sensor) FROM t;\n\
+             METRICS\n");
+      let data = Filename.concat base (Filename.concat "new" "nested") in
+      let code, out =
+        run [ "serve"; "--script"; script; "--data-dir"; data ]
+      in
+      Alcotest.(check int) "exit 0" 0 code;
+      Alcotest.(check bool) "table at DIR/t" true
+        (Storage.Partition.is_partition_dir (Filename.concat data "t"));
+      check_contains out "tempagg_partition_shards{relation=\"t\"} 3")
 
 (* The observability flags on query: --profile prints the EXPLAIN
    ANALYZE report, --metrics a Prometheus exposition, --trace a Chrome
@@ -302,24 +344,25 @@ let test_query_observability_flags () =
       Alcotest.(check bool) "trace file written" true (Sys.file_exists trace);
       let json = In_channel.with_open_text trace In_channel.input_all in
       check_contains json "{\"traceEvents\":[";
+      check_contains json "\"name\":\"eval\"";
       check_contains json "\"name\":\"shard\"")
 
-let test_serve_metrics_every () =
+(* A METRICS line in a script dumps the exposition at that point. *)
+let test_serve_metrics_line () =
   with_tempdir (fun dir ->
       let script = Filename.concat dir "ops.tsql" in
       Out_channel.with_open_text script (fun oc ->
           output_string oc
             "SELECT COUNT(Name) FROM Employed;\n\
              EXPLAIN ANALYZE SELECT COUNT(Name) FROM Employed;\n\
+             METRICS\n\
              SELECT COUNT(Name) FROM Employed DURING [8,20]\n");
-      let code, out =
-        run [ "serve"; "--metrics-every"; "2"; "--script"; script ]
-      in
+      let code, out = run [ "serve"; "--script"; script ] in
       Alcotest.(check int) "exit 0" 0 code;
-      check_contains out "-- metrics after 2 statement(s) --";
-      check_contains out "tempagg_serve_latency_us_bucket";
+      check_contains out
+        "tempagg_net_latency_us_bucket{kind=\"explain-analyze\"";
       check_contains out "explain-analyze";
-      check_contains out "serve: 3 op(s)")
+      check_contains out "3 request(s)")
 
 let quick name f = Alcotest.test_case name `Quick f
 
@@ -344,8 +387,9 @@ let () =
           quick "serve script" test_serve_script;
           quick "serve missing script" test_serve_missing_script;
           quick "serve parse error" test_serve_parse_error;
+          quick "serve --data-dir" test_serve_data_dir;
           quick "query --profile/--metrics/--trace"
             test_query_observability_flags;
-          quick "serve --metrics-every" test_serve_metrics_every;
+          quick "serve METRICS line" test_serve_metrics_line;
         ] );
     ]

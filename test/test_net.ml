@@ -3,7 +3,7 @@
    client/server sessions over a real TCP socket (ephemeral port),
    including saturation (BUSY), degradation, and graceful drain. *)
 
-let catalog = Tsql.Catalog.with_builtins ()
+let with_server = Server_harness.with_server
 
 (* ------------------------------------------------------------------ *)
 (* Protocol                                                            *)
@@ -300,6 +300,8 @@ let test_protocol_trace_verbs () =
     (Net.Protocol.metrics_request " metrics ");
   Alcotest.(check bool) "metrics takes no arguments" false
     (Net.Protocol.metrics_request "METRICS now");
+  Alcotest.(check bool) "SHOW METRICS is the same verb" true
+    (Net.Protocol.metrics_request "show  Metrics ;");
   (match Net.Protocol.trace_dump_request "trace dump" with
   | Some (Ok None) -> ()
   | _ -> Alcotest.fail "bare TRACE DUMP");
@@ -419,28 +421,6 @@ let test_admission_take_blocks_until_stop () =
 (* ------------------------------------------------------------------ *)
 (* Client/server end to end                                            *)
 (* ------------------------------------------------------------------ *)
-
-let with_server ?(config = Net.Server.default_config) ?(catalog = catalog) f =
-  let config = { config with Net.Server.transport = Net.Server.Tcp 0 } in
-  let srv = Net.Server.create ~config catalog in
-  let handle = Domain.spawn (fun () -> Net.Server.run srv) in
-  let port = Option.get (Net.Server.port srv) in
-  (* The listener is bound before [create] returns, so connecting now
-     cannot race the event loop.  [report_of] shuts the server down and
-     joins it exactly once (joining twice is an error). *)
-  let joined = ref None in
-  let report_of () =
-    match !joined with
-    | Some r -> r
-    | None ->
-        Net.Server.shutdown srv;
-        let r = Domain.join handle in
-        joined := Some r;
-        r
-  in
-  Fun.protect
-    ~finally:(fun () -> ignore (report_of ()))
-    (fun () -> f port report_of)
 
 (* (degraded, payload) of an [OK] reply; anything else fails the test. *)
 let expect_ok = function
@@ -747,6 +727,59 @@ let test_e2e_metrics_and_dump_verbs () =
           | Ok (Net.Protocol.Err _) -> ()
           | _ -> Alcotest.fail "an invalid dump id must answer ERR"))
 
+(* SHOW METRICS answers on the event loop exactly as METRICS, so it is
+   fresh without a scraper: the shared registry (per-kind request
+   series, the join counters) plus the asking connection's own session
+   gauges, live and partitioned. *)
+let test_e2e_show_metrics_fresh () =
+  let data_dir = Filename.temp_dir "tempagg_net" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Sys.command ("rm -rf " ^ Filename.quote data_dir)))
+    (fun () ->
+      let config =
+        { Net.Server.default_config with Net.Server.data_dir = Some data_dir }
+      in
+      let replies, _ =
+        Server_harness.run_lines ~config
+          [
+            "SELECT COUNT(name) FROM Employed";
+            "CREATE TABLE readings (sensor STRING, value INT) PARTITION BY \
+             RANGE (vt) (100, 200)";
+            "SHOW METRICS";
+            "TRACE m-1 show metrics;";
+            "METRICS";
+          ]
+      in
+      let contains hay needle =
+        let lh = String.length hay and ln = String.length needle in
+        let rec go i =
+          i + ln <= lh && (String.sub hay i ln = needle || go (i + 1))
+        in
+        go 0
+      in
+      match replies with
+      | [ _; _; show; traced; verb ] ->
+          (match traced with
+          | Ok (Net.Protocol.Ok_reply { trace = Some "m-1"; _ }) -> ()
+          | _ -> Alcotest.fail "a TRACE-prefixed SHOW METRICS echoes its id");
+          List.iter
+            (fun reply ->
+              let text = Server_harness.ok_text reply in
+              List.iter
+                (fun needle ->
+                  Alcotest.(check bool) ("exposition has " ^ needle) true
+                    (contains text needle))
+                [
+                  "tempagg_net_latency_us_bucket{kind=\"select\"";
+                  "tempagg_net_requests_total{kind=\"select\"} 1";
+                  "tempagg_join_";
+                  "tempagg_live_";
+                  "tempagg_partition_shards{relation=\"readings\"} 3";
+                ])
+            [ show; traced; verb ]
+      | _ -> Alcotest.fail "one reply per line")
+
 (* Shed requests never reach a worker, but their trace is still worth
    keeping: the dispatch path closes the root with outcome=shed and pins
    it, so the BUSY is reconstructable after the fact. *)
@@ -906,6 +939,8 @@ let () =
           Alcotest.test_case "graceful drain with in-flight work" `Quick
             test_e2e_graceful_drain_with_inflight;
           Alcotest.test_case "trace span tree" `Quick test_e2e_trace_span_tree;
+          Alcotest.test_case "SHOW METRICS is fresh" `Quick
+            test_e2e_show_metrics_fresh;
           Alcotest.test_case "METRICS and TRACE DUMP verbs" `Quick
             test_e2e_metrics_and_dump_verbs;
           Alcotest.test_case "shed request pinned" `Quick

@@ -2,7 +2,7 @@
    against a sorted-array oracle, span-tree well-formedness under
    Parallel evaluation, the Prometheus exposition, the stats adapters,
    EXPLAIN ANALYZE profiles (aborted fallback attempts included), and
-   the "disarmed tracing is free" overhead bar. *)
+   the "tracing is free" overhead bar. *)
 
 open Tempagg
 
@@ -148,28 +148,30 @@ let test_histogram_merge_oracle () =
 (* Trace                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* With the ring off, nothing records and a span is a plain call. *)
 let test_trace_disarmed_passthrough () =
-  Obs.Trace.disarm ();
-  Obs.Trace.clear ();
+  Obs.Trace.set_ring_capacity 0;
   let r = Obs.Trace.with_span "ignored" (fun () -> 42) in
   Alcotest.(check int) "value passes through" 42 r;
   Alcotest.(check bool) "no open span" true (Obs.Trace.current () = None);
-  Alcotest.(check int) "nothing recorded" 0 (List.length (Obs.Trace.spans ()))
+  Alcotest.(check int) "nothing recorded" 0
+    (List.length (Obs.Trace.recorded ()));
+  Obs.Trace.set_ring_capacity 2048
 
-(* Arm, evaluate a 4-domain Parallel sweep, and check the span tree:
-   one shard span per domain, every recorded parent id resolvable, and
-   proper nesting (stack discipline) within each domain's timeline. *)
+(* Evaluate a 4-domain Parallel sweep on an emptied ring and check the
+   span tree: one shard span per domain, every recorded parent id
+   resolvable, and proper nesting (stack discipline) within each
+   domain's timeline. *)
 let test_trace_parallel_span_tree () =
   let data = random_data () in
-  Obs.Trace.arm ();
+  Obs.Trace.clear ();
   let tl =
     Engine.eval
       (Engine.Parallel { domains = 4; inner = Engine.Sweep })
       Monoid.count (count_data data)
   in
-  Obs.Trace.disarm ();
   ignore (Sys.opaque_identity tl);
-  let spans = Obs.Trace.spans () in
+  let spans = Obs.Trace.recorded () in
   let ids = List.map (fun (s : Obs.Trace.span) -> s.id) spans in
   let shards =
     List.filter (fun (s : Obs.Trace.span) -> s.label = "shard") spans
@@ -221,13 +223,12 @@ let test_trace_parallel_span_tree () =
 
 let test_trace_chrome_export () =
   let data = random_data ~n:500 () in
-  Obs.Trace.arm ();
+  Obs.Trace.clear ();
   ignore
     (Engine.eval
        (Engine.Parallel { domains = 2; inner = Engine.Sweep })
        Monoid.count (count_data data));
-  Obs.Trace.disarm ();
-  let json = Obs.Trace.export_chrome () in
+  let json = Obs.Trace.to_chrome_json (Obs.Trace.recorded ()) in
   check_contains "envelope" json "{\"traceEvents\":[";
   check_contains "complete events" json "\"ph\":\"X\"";
   check_contains "thread names" json "\"name\":\"thread_name\"";
@@ -236,32 +237,30 @@ let test_trace_chrome_export () =
   check_contains "parent link" json "\"parent\":";
   Alcotest.(check bool) "closes the envelope" true
     (String.ends_with ~suffix:"]}\n" json);
-  (* Re-arming discards the previous recording. *)
-  Obs.Trace.arm ();
-  Alcotest.(check int) "arm clears" 0 (List.length (Obs.Trace.spans ()));
-  Obs.Trace.disarm ()
+  (* Clearing discards the previous recording. *)
+  Obs.Trace.clear ();
+  Alcotest.(check int) "clear empties the ring" 0
+    (List.length (Obs.Trace.recorded ()))
 
 (* ------------------------------------------------------------------ *)
 (* Flight recorder: ring sink and retention policy                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The ring records even while disarmed — that is the always-on flight
-   recorder — without touching the armed buffer; capacity 0 restores
-   the true zero-cost path. *)
+(* The ring records by default — that is the always-on flight
+   recorder; capacity 0 restores the true zero-cost path. *)
 let test_trace_ring_always_on () =
-  Obs.Trace.disarm ();
   Obs.Trace.clear ();
   Obs.Trace.set_ring_capacity 2048;
   let r = Obs.Trace.with_span ~trace:"ring-t1" "ring-span" (fun () -> 7) in
   Alcotest.(check int) "value passes through" 7 r;
-  Alcotest.(check int) "armed buffer untouched" 0
-    (List.length (Obs.Trace.spans ()));
   let mine =
     List.filter
       (fun (s : Obs.Trace.span) -> s.trace = "ring-t1")
       (Obs.Trace.recorded ())
   in
   Alcotest.(check int) "ring holds the span" 1 (List.length mine);
+  Alcotest.(check bool) "filtered by trace id" true
+    (Obs.Trace.recorded ~trace:"ring-t1" () = mine);
   (* Non-lexical spans: opened on one domain, closed (with outcome
      attrs) wherever the work ends. *)
   let id = Obs.Trace.open_span ~trace:"ring-t1" "open-close" in
@@ -302,7 +301,6 @@ let test_trace_ring_always_on () =
    fast-OK noise that wrapped it is what gets evicted. *)
 let test_recorder_tail_retention () =
   Obs.Recorder.clear ();
-  Obs.Trace.disarm ();
   Obs.Trace.set_ring_capacity 64;
   Obs.Trace.with_span ~trace:"keep-1" "interesting" (fun () ->
       Obs.Trace.with_span "inner" (fun () -> ()));
@@ -862,7 +860,7 @@ let test_profile_report_fields () =
     (Obs.Metrics.value r "tempagg_profile_segments")
 
 (* ------------------------------------------------------------------ *)
-(* EXPLAIN ANALYZE and the serve loop                                  *)
+(* EXPLAIN ANALYZE and the server's per-kind metrics                   *)
 (* ------------------------------------------------------------------ *)
 
 let test_explain_analyze () =
@@ -895,55 +893,57 @@ let test_explain_analyze () =
   | Ok _ -> Alcotest.fail "EXPLAIN ANALYZE on a view should fail"
   | Error msg -> check_contains "view error" msg "is a view"
 
+(* The server's per-kind latency histograms and error counters, read
+   mid-run through METRICS (with the asking connection's session
+   gauges) and after the drain through the report's per-kind table. *)
 let test_serve_metrics () =
-  let s = Tsql.Session.create (Tsql.Catalog.with_builtins ()) in
-  let buf = Buffer.create 256 in
-  let script =
-    "SELECT COUNT(Name) FROM Employed; SELECT COUNT(Name) FROM Employed; \
-     EXPLAIN ANALYZE SELECT COUNT(Name) FROM Employed; SELECT nope FROM \
-     missing;"
+  let replies, report =
+    Server_harness.run_lines
+      [
+        "SELECT COUNT(Name) FROM Employed;";
+        "SELECT COUNT(Name) FROM Employed;";
+        "METRICS";
+        "EXPLAIN ANALYZE SELECT COUNT(Name) FROM Employed;";
+        "SELECT nope FROM missing;";
+        "METRICS";
+      ]
   in
-  match
-    Tsql.Serve.run_script ~out:(Buffer.add_string buf) ~metrics_every:2 s
-      script
-  with
-  | Error msg -> Alcotest.fail msg
-  | Ok report ->
-      Alcotest.(check int) "ops" 4 report.Tsql.Serve.total;
-      Alcotest.(check int) "errors" 1 report.Tsql.Serve.total_errors;
-      let ea = List.assoc "explain-analyze" report.Tsql.Serve.per_kind in
-      Alcotest.(check int) "explain-analyze counted" 1 ea.Tsql.Serve.ops;
-      let selects = List.assoc "select" report.Tsql.Serve.per_kind in
-      Alcotest.(check bool) "percentiles ordered" true
-        (selects.Tsql.Serve.p50_us <= selects.Tsql.Serve.p99_us
-        && selects.Tsql.Serve.p99_us <= selects.Tsql.Serve.max_us);
-      (* The periodic dump went through [out]... *)
-      let streamed = Buffer.contents buf in
-      check_contains "periodic dump" streamed
-        "-- metrics after 2 statement(s) --";
-      check_contains "latency histogram" streamed "tempagg_serve_latency_us";
-      (* ...and the report carries the registry for a final exposition. *)
-      let final = Obs.Metrics.expose report.Tsql.Serve.metrics in
+  Alcotest.(check int) "ops" 4 report.Net.Server.requests;
+  Alcotest.(check int) "errors" 1 report.Net.Server.errors;
+  Alcotest.(check int) "explain-analyze counted" 1
+    (Obs.Histogram.count (Server_harness.latency report "explain-analyze"));
+  let selects = Server_harness.latency report "select" in
+  Alcotest.(check bool) "percentiles ordered" true
+    (Obs.Histogram.percentile selects 0.5
+     <= Obs.Histogram.percentile selects 0.99
+    && Obs.Histogram.percentile selects 0.99 <= Obs.Histogram.max_value selects);
+  (match replies with
+  | [ _; _; first; _; _; last ] ->
+      check_contains "latency histogram" (Server_harness.ok_text first)
+        "tempagg_net_latency_us";
+      let final = Server_harness.ok_text last in
       check_contains "error counter" final
-        "tempagg_serve_errors_total{kind=\"select\"} 1";
-      check_contains "live gauges" final "tempagg_live_";
-      let text = Tsql.Serve.report_to_string report in
-      check_contains "report header" text "serve: 4 op(s)";
-      check_contains "report error count" text "(1 error(s))";
-      check_contains "report kind row" text "explain-analyze"
+        "tempagg_net_errors_total{kind=\"select\"} 1";
+      check_contains "live gauges" final "tempagg_live_"
+  | _ -> Alcotest.fail "one reply per line");
+  let text = Net.Server.report_to_string report in
+  check_contains "report header" text "4 request(s)";
+  check_contains "report error count" text "1 error(s)";
+  check_contains "report kind row" text "explain-analyze"
 
 (* ------------------------------------------------------------------ *)
 (* Overhead                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Disarmed tracing on the sweep hot path is one atomic load per eval:
-   Engine.eval through the span check must stay within 3% of calling
-   Sweep.eval directly.  Paired rounds with a shared rep count cancel
-   GC drift; the bar is checked on the best of three tries so one noisy
-   CI neighbour cannot fail the suite, but a real regression (a span
-   allocated while disarmed, say) fails all three. *)
+(* Tracing on the sweep hot path, with the always-on ring at its
+   default capacity, is one span check and one ring append per eval:
+   Engine.eval through it must stay within 3% of calling Sweep.eval
+   directly.  Paired rounds with a shared rep count cancel GC drift; the
+   bar is checked on the best of three tries so one noisy CI neighbour
+   cannot fail the suite, but a real regression (a per-tuple span, say)
+   fails all three. *)
 let test_disarmed_overhead () =
-  Obs.Trace.disarm ();
+  Obs.Trace.set_ring_capacity 2048;
   let data = random_data ~n:4096 ~seed:2 () in
   let bare () = Sweep.eval Monoid.count (count_data data) in
   let routed () = Engine.eval Engine.Sweep Monoid.count (count_data data) in

@@ -388,24 +388,7 @@ let contains hay needle =
   let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
   go 0
 
-let with_server ~config f =
-  let config = { config with Net.Server.transport = Net.Server.Tcp 0 } in
-  let srv = Net.Server.create ~config (Tsql.Catalog.with_builtins ()) in
-  let handle = Domain.spawn (fun () -> Net.Server.run srv) in
-  let port = Option.get (Net.Server.port srv) in
-  let joined = ref None in
-  let report_of () =
-    match !joined with
-    | Some r -> r
-    | None ->
-        Net.Server.shutdown srv;
-        let r = Domain.join handle in
-        joined := Some r;
-        r
-  in
-  Fun.protect
-    ~finally:(fun () -> ignore (report_of ()))
-    (fun () -> f port report_of)
+let with_server = Server_harness.with_server
 
 let test_e2e_self_relations_over_tcp () =
   let objectives =
@@ -474,6 +457,41 @@ let test_e2e_self_relations_over_tcp () =
             (contains text "self-scrape" && contains text "slo:")
       | None -> Alcotest.fail "a server with objectives must report on them")
 
+(* Errors carry their statement kind, so a kind-scoped error-ratio
+   objective sees them: half the SELECTs fail, and it breaches. *)
+let test_e2e_kind_error_ratio_breaches () =
+  let objectives =
+    match
+      Obs.Slo.parse "sel error_ratio < 0.01 over 10s fast 5s kind select"
+    with
+    | Ok os -> os
+    | Error msg -> Alcotest.failf "parse failed: %s" msg
+  in
+  let config =
+    {
+      Net.Server.default_config with
+      scrape_every_ms = Some 50;
+      slo = objectives;
+    }
+  in
+  let lines =
+    List.concat
+      (List.init 20 (fun _ ->
+           [
+             "SELECT COUNT(name) FROM Employed";
+             "SELECT COUNT(name) FROM missing";
+           ]))
+  in
+  let replies, report = Server_harness.run_lines ~config lines in
+  Alcotest.(check int) "half answered ERR" 20
+    (List.length
+       (List.filter
+          (function Ok (Net.Protocol.Err _) -> true | _ -> false)
+          replies));
+  Alcotest.(check (option (float 0.))) "kind select breaches" (Some 2.)
+    (Obs.Metrics.value report.Net.Server.metrics ~labels:[ ("slo", "sel") ]
+       "tempagg_slo_verdict")
+
 let () =
   Alcotest.run "selfmon"
     [
@@ -501,6 +519,8 @@ let () =
         ] );
       ( "e2e",
         [
+          Alcotest.test_case "kind error ratio breaches" `Quick
+            test_e2e_kind_error_ratio_breaches;
           Alcotest.test_case "self-relations over TCP" `Quick
             test_e2e_self_relations_over_tcp;
         ] );

@@ -315,39 +315,38 @@ let test_slowlog_ring_and_worst () =
     ]
 
 let test_serve_slowlog_capture () =
-  let s = Tsql.Session.create (Tsql.Catalog.with_builtins ()) in
   let log = Obs.Slowlog.create ~threshold_ms:0. () in
-  let buf = Buffer.create 256 in
-  match
-    Tsql.Serve.run_script
-      ~out:(Buffer.add_string buf)
-      ~slowlog:log s
-      "SELECT COUNT(Name) FROM Employed;\n\
-       INSERT INTO Employed VALUES ('Zoe', 60000) DURING [12,18];\n\
-       SELECT MAX(Salary) FROM Employed;"
-  with
-  | Error e -> Alcotest.failf "serve failed: %s" e
-  | Ok report ->
-      Alcotest.(check int) "threshold 0 captures everything" 3
-        (Obs.Slowlog.hits log);
-      (* Slow SELECTs against base relations get re-profiled. *)
-      let selects =
-        List.filter
-          (fun e -> e.Obs.Slowlog.kind = "select")
-          (Obs.Slowlog.entries log)
-      in
-      Alcotest.(check int) "two selects" 2 (List.length selects);
-      List.iter
-        (fun e ->
-          match e.Obs.Slowlog.detail with
-          | Some text -> check_contains "profile attached" text "plan: "
-          | None -> Alcotest.fail "select entry lost its profile")
-        selects;
-      let text = Tsql.Serve.report_to_string report in
-      check_contains "report line" text "slowlog: 3 hit(s) at >= 0.0 ms";
-      check_contains "report names the worst" text "worst:";
-      check_contains "json round-trips" (Obs.Slowlog.to_json log)
-        "\"profile\": \"query:"
+  let config =
+    { Net.Server.default_config with Net.Server.slowlog = Some log }
+  in
+  ignore
+    (Server_harness.run_lines ~config
+       [
+         "SELECT COUNT(Name) FROM Employed;";
+         "INSERT INTO Employed VALUES ('Zoe', 60000) DURING [12,18];";
+         "SELECT MAX(Salary) FROM Employed;";
+       ]);
+  Alcotest.(check int) "threshold 0 captures everything" 3
+    (Obs.Slowlog.hits log);
+  (* Slow SELECTs against base relations carry their own run's profile
+     and the labels of their pinned trace. *)
+  let selects =
+    List.filter
+      (fun e -> e.Obs.Slowlog.kind = "select")
+      (Obs.Slowlog.entries log)
+  in
+  Alcotest.(check int) "two selects" 2 (List.length selects);
+  List.iter
+    (fun e ->
+      (match e.Obs.Slowlog.detail with
+      | Some text -> check_contains "profile attached" text "plan: "
+      | None -> Alcotest.fail "select entry lost its profile");
+      Alcotest.(check bool) "span labels from the pinned trace" true
+        (List.mem "execute" e.Obs.Slowlog.span_labels))
+    selects;
+  Alcotest.(check bool) "worst kept" true (Obs.Slowlog.worst log <> None);
+  check_contains "json round-trips" (Obs.Slowlog.to_json log)
+    "\"profile\": \"query:"
 
 let () =
   Alcotest.run "stats"

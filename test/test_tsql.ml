@@ -793,41 +793,61 @@ let test_show_trace_and_recorder () =
 (* ------------------------------------------------------------------ *)
 
 let test_serve_reports_latencies () =
-  let s = session () in
-  let sink = Buffer.create 256 in
-  match
-    Tsql.Serve.run_script ~echo:true
-      ~out:(Buffer.add_string sink)
-      s
-      "CREATE VIEW hc AS SELECT COUNT(*) FROM Employed;\n\
-       SELECT * FROM hc;\n\
-       INSERT INTO Employed VALUES ('Zoe', 1) DURING [2,4];\n\
-       SELECT * FROM hc;\n\
-       SELECT * FROM nonexistent;\n\
-       DROP VIEW hc"
-  with
-  | Error msg -> Alcotest.fail msg
-  | Ok report ->
-      Alcotest.(check int) "ops" 6 report.Tsql.Serve.total;
-      Alcotest.(check int) "one error" 1 report.Tsql.Serve.total_errors;
-      let selects = List.assoc "select" report.Tsql.Serve.per_kind in
-      Alcotest.(check int) "selects" 3 selects.Tsql.Serve.ops;
-      Alcotest.(check int) "select errors" 1 selects.Tsql.Serve.errors;
-      Alcotest.(check bool)
-        "percentiles ordered" true
-        (selects.Tsql.Serve.p50_us <= selects.Tsql.Serve.p99_us
-        && selects.Tsql.Serve.p99_us <= selects.Tsql.Serve.max_us);
-      let text = Tsql.Serve.report_to_string report in
-      Alcotest.(check bool) "report mentions kinds" true
-        (contains text "create-view" && contains text "p99-us");
-      Alcotest.(check bool) "echo shows error" true
-        (contains (Buffer.contents sink) "error:")
-
-let test_serve_parse_error () =
-  let s = session () in
+  let replies, report =
+    Server_harness.run_lines
+      [
+        "CREATE VIEW hc AS SELECT COUNT(*) FROM Employed;";
+        "SELECT * FROM hc;";
+        "INSERT INTO Employed VALUES ('Zoe', 1) DURING [2,4];";
+        "SELECT * FROM hc;";
+        "SELECT * FROM nonexistent;";
+        "DROP VIEW hc";
+      ]
+  in
+  Alcotest.(check int) "ops" 6 report.Net.Server.requests;
+  Alcotest.(check int) "one error" 1 report.Net.Server.errors;
+  let selects = Server_harness.latency report "select" in
+  Alcotest.(check int) "selects" 3 (Obs.Histogram.count selects);
+  Alcotest.(check (float 0.)) "select errors" 1.
+    (Server_harness.errors report "select");
   Alcotest.(check bool)
-    "bad script is an Error" true
-    (Result.is_error (Tsql.Serve.run_script s "SELECT FROM ;"))
+    "percentiles ordered" true
+    (Obs.Histogram.percentile selects 0.5
+     <= Obs.Histogram.percentile selects 0.99
+    && Obs.Histogram.percentile selects 0.99 <= Obs.Histogram.max_value selects);
+  let text = Net.Server.report_to_string report in
+  Alcotest.(check bool) "report mentions kinds" true
+    (contains text "create-view" && contains text "p99-us");
+  Alcotest.(check bool) "the failed SELECT answered ERR" true
+    (match List.nth replies 4 with
+    | Ok (Net.Protocol.Err _) -> true
+    | _ -> false)
+
+(* A line that fails to parse answers ERR, and the next line still runs;
+   a malformed TRACE prefix, refused before the statement parses, counts
+   as an error too. *)
+let test_serve_parse_error () =
+  let replies, report =
+    Server_harness.run_lines
+      [
+        "SELECT FROM ;";
+        "TRACE bad!id SELECT 1";
+        "SELECT COUNT(*) FROM Employed";
+      ]
+  in
+  (match replies with
+  | [
+   Ok (Net.Protocol.Err _); Ok (Net.Protocol.Err _); Ok (Net.Protocol.Ok_reply _);
+  ] ->
+      ()
+  | _ -> Alcotest.fail "expected ERR, ERR, then OK");
+  Alcotest.(check int) "counted" 2 report.Net.Server.errors;
+  Alcotest.(check (float 0.)) "as a parse error" 1.
+    (Server_harness.errors report "parse-error");
+  Alcotest.(check (float 0.)) "as a protocol error" 1.
+    (Server_harness.errors report "protocol");
+  Alcotest.(check bool) "report row for refused lines" true
+    (contains (Net.Server.report_to_string report) "protocol")
 
 let quick name f = Alcotest.test_case name `Quick f
 
