@@ -176,14 +176,10 @@ let apply_shards md c =
                   domains = Stdlib.min surviving max_eval_shards;
                   inner = c.algorithm;
                 };
-            (* One failed shard must degrade, not abort, the others'
-               work: [Fail] would discard every shard's result, so the
-               sharded plan falls back per shard instead.  An explicit
-               [Skip] keeps its stronger meaning. *)
-            on_error =
-              (match c.on_error with
-              | Engine.Fail -> Engine.Fallback
-              | p -> p);
+            (* The inner choice's recovery policy carries over: every
+               inner algorithm that can fail without a budget (a
+               k-ordered tree) already comes with [Fallback], which
+               [Engine.eval_robust] applies per shard. *)
           }
         else c
       in

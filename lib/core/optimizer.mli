@@ -79,9 +79,10 @@ val choose : metadata -> choice
     [query_window] are scanned, and when more than one survives the
     chosen algorithm is wrapped in {!Engine.Parallel} (one evaluation
     shard per surviving storage shard, at most {!max_eval_shards}
-    domains) with the recovery policy upgraded from [Fail] to
-    [Fallback] so a failed shard degrades instead of aborting the rest.
-    The rationale cites kept/pruned shard counts. *)
+    domains).  The recovery policy is the inner choice's: a k-ordered
+    inner tree, the only one that can fail without a budget, already
+    carries [Fallback].  The rationale cites kept/pruned shard
+    counts. *)
 
 val choose_observed : Obs.Stats.summary -> metadata -> choice
 (** [choose] with observed statistics merged over the declared metadata:

@@ -37,17 +37,6 @@ let reset t =
   t.cache_invalidations <- 0;
   t.cache_evictions <- 0
 
-let to_string t =
-  Printf.sprintf
-    "inserts=%d deletes=%d patched-segments=%d rebuilds=%d \
-     pending-tombstones=%d snapshots=%d cache: hits=%d misses=%d \
-     invalidations=%d evictions=%d"
-    t.inserts t.deletes t.patched_segments t.rebuilds t.pending_tombstones
-    t.snapshots t.cache_hits t.cache_misses t.cache_invalidations
-    t.cache_evictions
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 let to_metrics registry t =
   let g name help v =
     Obs.Metrics.set_int (Obs.Metrics.gauge registry ~help name) v

@@ -29,8 +29,6 @@ type t = {
 
 val create : unit -> t
 val reset : t -> unit
-val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 val to_metrics : Obs.Metrics.t -> t -> unit
 (** Fold the counters into [tempagg_live_*] registry gauges. *)

@@ -47,6 +47,7 @@ type buffer = {
   mutable ring_next : int;
   mutable ring_filled : int;
   mutable ring_dropped : int;
+  mutable retire_on_exit : bool;  (* the domain's exit hook is set *)
 }
 
 let epoch = Atomic.make 0
@@ -77,28 +78,76 @@ let now_us () =
   in
   clamp ()
 
-let dls_key =
-  Domain.DLS.new_key (fun () ->
-      {
-        buf_epoch = -1;
-        stack = [];
-        ring = [||];
-        ring_next = 0;
-        ring_filled = 0;
-        ring_dropped = 0;
-      })
+let fresh_buffer () =
+  {
+    buf_epoch = -1;
+    stack = [];
+    ring = [||];
+    ring_next = 0;
+    ring_filled = 0;
+    ring_dropped = 0;
+    retire_on_exit = false;
+  }
+
+let dls_key = Domain.DLS.new_key fresh_buffer
+
+(* Start [b] clean in epoch [e] and list it; the caller holds
+   [registry_mutex]. *)
+let enlist b e =
+  b.buf_epoch <- e;
+  b.stack <- [];
+  b.ring <- [||];
+  b.ring_next <- 0;
+  b.ring_filled <- 0;
+  b.ring_dropped <- 0;
+  registry := b :: !registry
+
+(* Append a completed span to the ring.  It overwrites its oldest entry
+   once full, counting the overwrite as a drop so the recorder can
+   report pressure. *)
+let record b span =
+  let cap = Atomic.get ring_capacity in
+  if cap > 0 then begin
+    if Array.length b.ring <> cap then begin
+      b.ring <- Array.make cap span;
+      b.ring_next <- 0;
+      b.ring_filled <- 0
+    end;
+    b.ring.(b.ring_next) <- span;
+    b.ring_next <- (b.ring_next + 1) mod cap;
+    if b.ring_filled = cap then b.ring_dropped <- b.ring_dropped + 1
+    else b.ring_filled <- b.ring_filled + 1
+  end
+
+(* Domains come and go (every Parallel evaluation spawns its shard
+   domains), so an exited domain's ring must not stay listed: its spans
+   move into this one shared ring of the same capacity, and memory stays
+   bounded by the live domains' rings plus one. *)
+let retired = fresh_buffer ()
+
+let retire b =
+  with_lock registry_mutex (fun () ->
+      if List.memq b !registry then begin
+        registry := List.filter (fun x -> x != b) !registry;
+        let e = Atomic.get epoch in
+        if retired.buf_epoch <> e then enlist retired e;
+        let n = Array.length b.ring in
+        let oldest = if b.ring_filled < n then 0 else b.ring_next in
+        for i = 0 to b.ring_filled - 1 do
+          record retired b.ring.((oldest + i) mod n)
+        done;
+        retired.ring_dropped <- retired.ring_dropped + b.ring_dropped
+      end)
 
 let buffer () =
   let b = Domain.DLS.get dls_key in
   let e = Atomic.get epoch in
   if b.buf_epoch <> e then begin
-    b.buf_epoch <- e;
-    b.stack <- [];
-    b.ring <- [||];
-    b.ring_next <- 0;
-    b.ring_filled <- 0;
-    b.ring_dropped <- 0;
-    with_lock registry_mutex (fun () -> registry := b :: !registry)
+    with_lock registry_mutex (fun () -> enlist b e);
+    if not b.retire_on_exit then begin
+      b.retire_on_exit <- true;
+      Domain.at_exit (fun () -> retire b)
+    end
   end;
   b
 
@@ -126,23 +175,6 @@ let current_trace () =
   if not (recording ()) then ""
   else
     match (buffer ()).stack with s :: _ -> s.trace | [] -> ""
-
-(* Append a completed span to the ring.  It overwrites its oldest entry
-   once full, counting the overwrite as a drop so the recorder can
-   report pressure. *)
-let record b span =
-  let cap = Atomic.get ring_capacity in
-  if cap > 0 then begin
-    if Array.length b.ring <> cap then begin
-      b.ring <- Array.make cap span;
-      b.ring_next <- 0;
-      b.ring_filled <- 0
-    end;
-    b.ring.(b.ring_next) <- span;
-    b.ring_next <- (b.ring_next + 1) mod cap;
-    if b.ring_filled = cap then b.ring_dropped <- b.ring_dropped + 1
-    else b.ring_filled <- b.ring_filled + 1
-  end
 
 let make_span ~stack ?parent ?trace ~attrs label =
   let parent =

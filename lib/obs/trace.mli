@@ -3,8 +3,10 @@
     Spans feed one sink: a bounded per-domain ring (the flight
     recorder, on by default — see {!set_ring_capacity}) that holds the
     most recent spans, so a live server can reconstruct a request after
-    the fact.  A profiling run sizes the ring for the whole run and
-    exports {!recorded} at the end.  With the ring off an instrumented
+    the fact.  When a domain exits, its spans move into one shared ring
+    of the same capacity, so the rings held are the live domains' plus
+    one.  A profiling run sizes the ring for the whole run and exports
+    {!recorded} at the end.  With the ring off an instrumented
     code path costs one atomic load.  Recording never takes a lock, so
     [Parallel] shards running on separate domains trace concurrently.
     Completed spans export as Chrome [trace_event] JSON that loads in

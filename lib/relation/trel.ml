@@ -1,6 +1,15 @@
 open Temporal
 
-type t = { schema : Schema.t; tuples : Tuple.t array }
+type t = {
+  schema : Schema.t;
+  tuples : Tuple.t array;
+  time_ordered : bool;
+  lifespan : Interval.t option;
+      (* Both filled by the one pass that builds the relation, so the
+         planner reads them without walking the tuples.  Plain fields,
+         not [Lazy.t]: relations are shared across domains, and forcing
+         one lazy value from two domains at once raises. *)
+}
 
 let check_tuple schema tuple =
   let values = Tuple.values tuple in
@@ -22,9 +31,26 @@ let check_tuple schema tuple =
                  (Value.ty_to_string ty)))
     values
 
+(* One pass over [tuples]: check each, and record whether they are in
+   time order and the hull of their valid intervals. *)
 let of_array schema tuples =
-  Array.iter (check_tuple schema) tuples;
-  { schema; tuples }
+  let ordered = ref true in
+  let lo = ref Chronon.forever and hi = ref Chronon.origin in
+  Array.iteri
+    (fun i tuple ->
+      check_tuple schema tuple;
+      if i > 0 && Tuple.compare_by_time tuples.(i - 1) tuple > 0 then
+        ordered := false;
+      lo := Chronon.min !lo (Tuple.start tuple);
+      hi := Chronon.max !hi (Tuple.stop tuple))
+    tuples;
+  {
+    schema;
+    tuples;
+    time_ordered = !ordered;
+    lifespan =
+      (if Array.length tuples = 0 then None else Some (Interval.make !lo !hi));
+  }
 
 let create schema tuples = of_array schema (Array.of_list tuples)
 let schema t = t.schema
@@ -41,34 +67,20 @@ let iter f t = Array.iter f t.tuples
 let fold f acc t = Array.fold_left f acc t.tuples
 
 let filter p t =
-  { t with tuples = Array.of_list (List.filter p (tuples t)) }
+  of_array t.schema (Array.of_list (List.filter p (tuples t)))
 
 let append a b =
   if not (Schema.equal a.schema b.schema) then
     invalid_arg "Trel.append: schemas differ";
-  { a with tuples = Array.append a.tuples b.tuples }
+  of_array a.schema (Array.append a.tuples b.tuples)
 
 let sort_by_time t =
   let copy = Array.copy t.tuples in
   Array.stable_sort Tuple.compare_by_time copy;
-  { t with tuples = copy }
+  { t with tuples = copy; time_ordered = true }
 
-let is_time_ordered t =
-  let ordered = ref true in
-  for i = 0 to Array.length t.tuples - 2 do
-    if Tuple.compare_by_time t.tuples.(i) t.tuples.(i + 1) > 0 then
-      ordered := false
-  done;
-  !ordered
-
-let lifespan t =
-  Array.fold_left
-    (fun acc tuple ->
-      let iv = Tuple.valid tuple in
-      match acc with
-      | None -> Some iv
-      | Some hull -> Some (Interval.hull hull iv))
-    None t.tuples
+let is_time_ordered t = t.time_ordered
+let lifespan t = t.lifespan
 
 let agg_input t ~column =
   match Schema.index_of t.schema column with

@@ -3,7 +3,8 @@
     Relations are immutable; operations that "modify" a relation return a
     new one sharing tuples where possible. Tuple order is significant — the
     paper's algorithms are sensitive to the physical order of the relation
-    (sorted, k-ordered, random). *)
+    (sorted, k-ordered, random).  The pass that builds a relation also
+    records its time order and lifespan, so reading them is O(1). *)
 
 open Temporal
 
@@ -36,9 +37,10 @@ val sort_by_time : t -> t
 (** Stable sort by (start, stop) — the paper's total time order. *)
 
 val is_time_ordered : t -> bool
+(** Whether the physical order is {!sort_by_time}'s order.  O(1). *)
 
 val lifespan : t -> Interval.t option
-(** Hull of all valid intervals; [None] for the empty relation. *)
+(** Hull of all valid intervals; [None] for the empty relation.  O(1). *)
 
 val agg_input : t -> column:string -> (Interval.t * Value.t) Seq.t
 (** The (valid interval, attribute value) stream the aggregation algorithms

@@ -1,16 +1,51 @@
 open Temporal
 open Relation
 
-(* One (interval, value) pair per tuple relevant to this aggregate:
-   COUNT( * ) consumes every tuple; column aggregates skip SQL NULLs. *)
-let data_for tuples (spec : Semant.agg_spec) =
+(* A growable array: the evaluated stream is built in one pass, and its
+   length is known only once the filter and the window have run.  The
+   first push allocates [capacity] slots, so a caller that knows the
+   likely length gets one exact allocation instead of a doubling
+   series. *)
+type 'a buffer = {
+  mutable items : 'a array;
+  mutable length : int;
+  capacity : int;
+}
+
+let buffer ?(capacity = 16) () = { items = [||]; length = 0; capacity }
+
+let push b x =
+  if b.length = Array.length b.items then begin
+    let bigger = Array.make (Stdlib.max 1 (Stdlib.max b.capacity (2 * b.length))) x in
+    Array.blit b.items 0 bigger 0 b.length;
+    b.items <- bigger
+  end;
+  b.items.(b.length) <- x;
+  b.length <- b.length + 1
+
+let contents b =
+  if b.length = Array.length b.items then b.items
+  else Array.sub b.items 0 b.length
+
+(* COUNT( * ) consumes every tuple; column aggregates skip SQL NULLs. *)
+let consumes (spec : Semant.agg_spec) t =
   match spec.Semant.column with
-  | None -> List.to_seq (List.map (fun t -> (Tuple.valid t, Value.Null)) tuples)
-  | Some i ->
-      List.to_seq tuples
-      |> Seq.filter_map (fun t ->
-             let v = Tuple.value t i in
-             if Value.is_null v then None else Some (Tuple.valid t, v))
+  | None -> true
+  | Some i -> not (Value.is_null (Tuple.value t i))
+
+(* One (interval, value) pair per tuple this aggregate consumes. *)
+let data_for tuples (spec : Semant.agg_spec) =
+  let out = buffer ~capacity:(Array.length tuples) () in
+  Array.iter
+    (fun t ->
+      if consumes spec t then
+        push out
+          ( Tuple.valid t,
+            match spec.Semant.column with
+            | None -> Value.Null
+            | Some i -> Tuple.value t i ))
+    tuples;
+  contents out
 
 (* Mutable context for one guarded run ([execute]'s robust path): the
    budgets to enforce, the profile to fill, and the degradation events
@@ -117,32 +152,32 @@ let group_offsets ~target sizes =
     sizes;
   Array.of_list ((0 :: List.rev !cuts) @ [ total ])
 
-let agg_timeline ?robust ?shard_blocks plan tuples (spec : Semant.agg_spec) =
+(* How many of each storage slice's tuples [spec] consumes; [ends.(i)]
+   is one past slice [i]'s last tuple in [tuples]. *)
+let consumed_per_slice ends tuples spec =
+  List.init (Array.length ends) (fun s ->
+      let n = ref 0 in
+      for j = (if s = 0 then 0 else ends.(s - 1)) to ends.(s) - 1 do
+        if consumes spec tuples.(j) then incr n
+      done;
+      !n)
+
+let agg_timeline ?robust ?slice_ends plan tuples (spec : Semant.agg_spec) =
   (* A partitioned plan under a Parallel algorithm evaluates each
      storage shard's slice in its own evaluation shard: the per-shard
      streams (after this aggregate's NULL filtering) give the explicit
      offsets [Engine.eval] pins the parallel split to.  DISTINCT
      re-sorts by value and span grouping goes through [Span.eval], so
      both keep the unpinned path. *)
-  let sharded =
-    match (shard_blocks, plan.Semant.algorithm, plan.Semant.granule) with
-    | Some blocks, Tempagg.Engine.Parallel { domains; _ }, None
+  let shard_offsets =
+    match (slice_ends, plan.Semant.algorithm, plan.Semant.granule) with
+    | Some ends, Tempagg.Engine.Parallel { domains; _ }, None
       when not spec.Semant.distinct ->
-        Some (blocks, domains)
+        Some
+          (group_offsets ~target:domains (consumed_per_slice ends tuples spec))
     | _ -> None
   in
-  let data, shard_offsets =
-    match sharded with
-    | Some (blocks, domains) ->
-        let data_blocks =
-          List.map (fun b -> List.of_seq (data_for b spec)) blocks
-        in
-        ( List.to_seq (List.concat data_blocks),
-          Some
-            (group_offsets ~target:domains
-               (List.map List.length data_blocks)) )
-    | None -> (data_for tuples spec, None)
-  in
+  let data = Array.to_seq (data_for tuples spec) in
   let data =
     (* Duplicate elimination happens before the relation is processed
        (paper Section 7); the prepared stream is value-ordered. *)
@@ -193,45 +228,54 @@ let clip_to hull tl =
   in
   match segments with [] -> None | _ -> Some (Timeline.of_list segments)
 
-let clip_tuple w t =
-  Option.map
-    (fun clipped -> Tuple.with_valid t clipped)
-    (Interval.intersect (Tuple.valid t) w)
+(* Visit the kept slices of [relation]'s one tuple array — all of it
+   when unpartitioned, else each shard whose span meets the window, by
+   index — and push every tuple that passes [keep], clipped to the
+   window, into one array in physical order.  Pruned shards are never
+   touched.  Also returns where each kept slice ends in that array. *)
+let scan ~keep ~window ~(layout : Semant.shard list) relation =
+  let slices =
+    match layout with
+    | [] -> [ (0, Trel.cardinality relation) ]
+    | layout ->
+        List.filter_map
+          (fun (s : Semant.shard) ->
+            match window with
+            | Some w when not (Interval.overlaps s.Semant.span w) -> None
+            | _ -> Some (s.Semant.first, s.Semant.count))
+          layout
+  in
+  let out =
+    (* Without a window every kept tuple that passes [keep] is pushed,
+       so the kept slices' total is the likely length; a window keeps
+       an unknown, often small, share. *)
+    match window with
+    | None ->
+        buffer ~capacity:(List.fold_left (fun n (_, c) -> n + c) 0 slices) ()
+    | Some _ -> buffer ()
+  in
+  let ends = Array.make (List.length slices) 0 in
+  List.iteri
+    (fun k (first, count) ->
+      for i = first to first + count - 1 do
+        let t = Trel.get relation i in
+        if keep t then
+          match window with
+          | None -> push out t
+          | Some w -> (
+              match Interval.intersect (Tuple.valid t) w with
+              | Some clipped -> push out (Tuple.with_valid t clipped)
+              | None -> ())
+      done;
+      ends.(k) <- out.length)
+    slices;
+  (contents out, ends)
 
-(* Split the first [n] elements off a list. *)
-let rec take n acc rest =
-  if n = 0 then (List.rev acc, rest)
-  else
-    match rest with
-    | [] -> (List.rev acc, [])
-    | x :: tl -> take (n - 1) (x :: acc) tl
-
-(* Materialize one join side: walk its shard layout block by block,
-   skipping shards whose span misses the window wholesale, and clip
-   every kept tuple to the window.  No WHERE filtering here — a join
-   query's WHERE is compiled against the combined schema and runs on
-   the joined stream. *)
+(* One join side: its kept slices, clipped to the window.  No WHERE
+   filtering here — a join query's WHERE is compiled against the
+   combined schema and runs on the joined stream. *)
 let side_tuples ~window ~layout relation =
-  let all = Trel.tuples relation in
-  match (layout : (Interval.t * int) list) with
-  | [] -> (
-      match window with
-      | None -> all
-      | Some w -> List.filter_map (clip_tuple w) all)
-  | layout ->
-      let rec split tuples = function
-        | [] -> []
-        | (span, count) :: rest ->
-            let block, tail = take count [] tuples in
-            let kept =
-              match window with
-              | Some w when not (Interval.overlaps span w) -> []
-              | Some w -> List.filter_map (clip_tuple w) block
-              | None -> block
-            in
-            kept :: split tail rest
-      in
-      List.concat (split all layout)
+  fst (scan ~keep:(fun _ -> true) ~window ~layout relation)
 
 (* Execute the plan's interval join: materialize both sides (each
    pruned by its own shard layout and clipped to the window), pair
@@ -249,25 +293,19 @@ let side_tuples ~window ~layout relation =
    that actually ran. *)
 let joined_tuples ?robust (plan : Semant.plan) (j : Semant.join_spec) =
   let left =
-    Array.of_list
-      (side_tuples ~window:plan.Semant.window ~layout:plan.Semant.shard_layout
-         plan.Semant.relation)
+    side_tuples ~window:plan.Semant.window ~layout:plan.Semant.shard_layout
+      plan.Semant.relation
   and right =
-    Array.of_list
-      (side_tuples ~window:plan.Semant.window
-         ~layout:j.Semant.right_shard_layout j.Semant.right_relation)
+    side_tuples ~window:plan.Semant.window ~layout:j.Semant.right_shard_layout
+      j.Semant.right_relation
   in
   let livs = Array.map Tuple.valid left
   and rivs = Array.map Tuple.valid right in
-  let pairs = ref [] in
-  let npairs = ref 0 in
+  let pairs = ref (buffer ()) in
   let execute ?guard ?instrument strategy =
-    pairs := [];
-    npairs := 0;
+    pairs := buffer ();
     Join.Engine.run ?guard ?instrument strategy j.Semant.predicate ~left:livs
-      ~right:rivs (fun l r ->
-        pairs := (l, r) :: !pairs;
-        incr npairs)
+      ~right:rivs (fun l r -> push !pairs (l, r))
   in
   let span_label s = "join:" ^ Join.Engine.strategy_to_string s in
   let used =
@@ -340,13 +378,13 @@ let joined_tuples ?robust (plan : Semant.plan) (j : Semant.join_spec) =
         | Some p -> Obs.Profile.time_phase p "join" run_join
         | None -> run_join ())
   in
-  Join.Telemetry.record ~strategy:used ~pairs:!npairs;
-  ( List.rev_map
+  Join.Telemetry.record ~strategy:used ~pairs:!pairs.length;
+  ( Array.map
       (fun (l, r) ->
         Tuple.make
           (Array.append (Tuple.values left.(l)) (Tuple.values right.(r)))
           (Join.Predicate.result_interval j.Semant.predicate livs.(l) rivs.(r)))
-      !pairs,
+      (contents !pairs),
     used )
 
 let partitions (plan : Semant.plan) tuples =
@@ -355,89 +393,53 @@ let partitions (plan : Semant.plan) tuples =
   | cols ->
       let groups = Hashtbl.create 16 in
       let order = ref [] in
-      List.iter
+      Array.iter
         (fun t ->
           let key = List.map (fun (_, i) -> Tuple.value t i) cols in
-          (match Hashtbl.find_opt groups key with
+          match Hashtbl.find_opt groups key with
           | None ->
               order := key :: !order;
-              Hashtbl.add groups key [ t ]
-          | Some ts -> Hashtbl.replace groups key (t :: ts)))
+              let group = buffer () in
+              push group t;
+              Hashtbl.add groups key group
+          | Some group -> push group t)
         tuples;
       List.sort
         (fun (a, _) (b, _) -> List.compare Value.compare a b)
-        (List.map
-           (fun key -> (key, List.rev (Hashtbl.find groups key)))
-           !order)
+        (List.map (fun key -> (key, contents (Hashtbl.find groups key))) !order)
 
 let run_aux ?robust (plan : Semant.plan) =
-  (* Partitioned relation: the physical tuple list is the shards
-     concatenated in order, so walk it block by block.  A shard whose
-     time span misses the DURING window is skipped wholesale — its
-     tuples are never filtered, clipped or even looked at, which is
-     where partition pruning actually saves work on the batch path.
-     A join query does its own per-side pruning in [joined_tuples]. *)
-  let blocks =
-    match (plan.Semant.join, plan.Semant.shard_layout) with
-    | Some _, _ | None, [] -> None
-    | None, layout ->
-        let rec split tuples = function
-          | [] -> []
-          | (span, count) :: rest ->
-              let block, tail = take count [] tuples in
-              let kept =
-                match plan.Semant.window with
-                | Some w when not (Interval.overlaps span w) -> []
-                | Some w ->
-                    List.filter_map
-                      (fun t ->
-                        if plan.Semant.filter t then clip_tuple w t else None)
-                      block
-                | None -> List.filter plan.Semant.filter block
-              in
-              kept :: split tail rest
-        in
-        Some (split (Trel.tuples plan.Semant.relation) layout)
-  in
-  let tuples, join_used =
-    match (plan.Semant.join, blocks) with
-    | Some j, _ ->
+  let tuples, slice_ends, join_used =
+    match plan.Semant.join with
+    | Some j ->
         (* The joined stream is already windowed per side; WHERE runs
            on the combined tuples. *)
         let joined, used = joined_tuples ?robust plan j in
-        (List.filter plan.Semant.filter joined, Some used)
-    | None, Some bs -> (List.concat bs, None)
-    | None, None ->
-        let tuples =
-          List.filter plan.Semant.filter (Trel.tuples plan.Semant.relation)
+        ( Array.of_seq (Seq.filter plan.Semant.filter (Array.to_seq joined)),
+          None,
+          Some used )
+    | None ->
+        let tuples, ends =
+          scan ~keep:plan.Semant.filter ~window:plan.Semant.window
+            ~layout:plan.Semant.shard_layout plan.Semant.relation
         in
-        (* DURING window: keep only the overlapping part of each tuple. *)
-        ( (match plan.Semant.window with
-          | None -> tuples
-          | Some w -> List.filter_map (clip_tuple w) tuples),
-          None )
+        (tuples, (if plan.Semant.shard_layout = [] then None else Some ends), None)
   in
-  let tuples =
-    if plan.Semant.sort_first then
-      List.stable_sort Tuple.compare_by_time tuples
-    else tuples
-  in
-  (* Shard blocks stay usable as evaluation-shard boundaries only while
-     the concatenation order is untouched: a pre-sort reorders across
-     blocks, and grouping partitions the tuples by value. *)
-  let shard_blocks =
-    match blocks with
-    | Some bs
-      when plan.Semant.group_columns = [] && not plan.Semant.sort_first ->
-        Some bs
-    | _ -> None
+  if plan.Semant.sort_first then Array.stable_sort Tuple.compare_by_time tuples;
+  (* Storage slices stay usable as evaluation-shard boundaries only while
+     the physical order is untouched: a pre-sort reorders across slices,
+     and grouping partitions the tuples by value. *)
+  let slice_ends =
+    if plan.Semant.group_columns = [] && not plan.Semant.sort_first then
+      slice_ends
+    else None
   in
   let grouped = plan.Semant.group_columns <> [] in
   let rows =
     List.concat_map
       (fun (key, group_tuples) ->
         let timelines =
-          List.map (agg_timeline ?robust ?shard_blocks plan group_tuples)
+          List.map (agg_timeline ?robust ?slice_ends plan group_tuples)
             plan.Semant.aggregates
         in
         let zipped =
@@ -448,7 +450,7 @@ let run_aux ?robust (plan : Semant.plan) =
         let clipped =
           if grouped then
             let hull =
-              List.fold_left
+              Array.fold_left
                 (fun acc t ->
                   match acc with
                   | None -> Some (Tuple.valid t)

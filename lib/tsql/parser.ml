@@ -463,20 +463,3 @@ let parse_statement text =
       if peek st = Lexer.SEMI then advance st;
       expect st Lexer.EOF "end of statement";
       s)
-
-let parse_script text =
-  run_parser text (fun st ->
-      let rec loop acc =
-        while peek st = Lexer.SEMI do
-          advance st
-        done;
-        if peek st = Lexer.EOF then List.rev acc
-        else begin
-          let s = statement st in
-          (match peek st with
-          | Lexer.SEMI | Lexer.EOF -> ()
-          | _ -> fail st "';' between statements");
-          loop (s :: acc)
-        end
-      in
-      loop [])

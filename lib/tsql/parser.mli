@@ -8,7 +8,3 @@ val parse_statement : string -> (Ast.statement, string) result
 (** Parse one statement (query or view DDL / DML), optionally
     semicolon-terminated. *)
 
-val parse_script : string -> (Ast.statement list, string) result
-(** Parse a whole script: statements separated by semicolons (the
-    semicolon after the last statement is optional; empty statements are
-    skipped).  [--] line comments are handled by the lexer. *)

@@ -9,6 +9,8 @@ type agg_spec = {
   out_ty : Value.ty;
 }
 
+type shard = { span : Temporal.Interval.t; first : int; count : int }
+
 type join_spec = {
   right_relation : Trel.t;
   right_name : string;
@@ -16,7 +18,7 @@ type join_spec = {
   strategy : Join.Engine.strategy;
   join_rationale : string;
   join_stats_source : string;
-  right_shard_layout : (Temporal.Interval.t * int) list;
+  right_shard_layout : shard list;
       (* The right side's storage shards, for pruning its input scan
          against the window; [] = unpartitioned. *)
   right_scanned : int;
@@ -53,11 +55,12 @@ type plan = {
          granule, no pre-sort.  Only then do run-time ordering
          observations (a k-ordered tree completing cleanly) say
          anything about the relation itself. *)
-  shard_layout : (Temporal.Interval.t * int) list;
-      (* The relation's storage-shard layout ([] = unpartitioned):
-         (time span, cardinality) per shard, in materialization order.
-         Lets the evaluator skip whole shards outside the DURING window
-         and pin parallel evaluation shards to storage shards. *)
+  shard_layout : shard list;
+      (* The relation's storage-shard layout ([] = unpartitioned): time
+         span and slice of the tuple array per shard, in materialization
+         order.  Lets the evaluator visit only the shards that meet the
+         DURING window and pin parallel evaluation shards to storage
+         shards. *)
   scanned_shards : int;  (* shards overlapping the window; 0 unsharded *)
   pruned_shards : int;  (* shards skipped outright; 0 unsharded *)
 }
@@ -282,7 +285,7 @@ let choose_algorithm catalog relation (q : Ast.query) ~cardinality
           Tempagg.Optimizer.time_ordered;
           expected_constant_intervals;
           invertible_aggregate = invertible;
-          shard_spans = List.map fst shard_layout;
+          shard_spans = List.map (fun s -> s.span) shard_layout;
           query_window = window;
         }
       in
@@ -305,10 +308,14 @@ let choose_algorithm catalog relation (q : Ast.query) ~cardinality
    relation (a stale layout after an unmirrored write would misalign
    shard skipping with the physical tuples). *)
 let trusted_layout catalog name relation =
-  let l = Catalog.layout catalog name in
-  if List.fold_left (fun acc (_, c) -> acc + c) 0 l = Trel.cardinality relation
-  then l
-  else []
+  let total, shards =
+    List.fold_left
+      (fun (first, acc) (span, count) ->
+        (first + count, { span; first; count } :: acc))
+      (0, [])
+      (Catalog.layout catalog name)
+  in
+  if total = Trel.cardinality relation then List.rev shards else []
 
 let shard_counts layout window =
   match layout with
@@ -320,7 +327,7 @@ let shard_counts layout window =
           let scanned =
             List.length
               (List.filter
-                 (fun (span, _) -> Temporal.Interval.overlaps span w)
+                 (fun s -> Temporal.Interval.overlaps s.span w)
                  layout)
           in
           (scanned, List.length layout - scanned))

@@ -30,6 +30,16 @@ type agg_spec = {
   out_ty : Relation.Value.ty;
 }
 
+type shard = {
+  span : Temporal.Interval.t;
+      (** Sound time span: every tuple of the shard lies inside it. *)
+  first : int;
+      (** Index of the shard's first tuple in the relation's one tuple
+          array; the shard is the slice [first .. first + count - 1]. *)
+  count : int;
+}
+(** One storage shard of a time-partitioned relation. *)
+
 type join_spec = {
   right_relation : Relation.Trel.t;
   right_name : string;
@@ -40,7 +50,7 @@ type join_spec = {
           cardinalities (observed statistics preferred). *)
   join_rationale : string;
   join_stats_source : string;
-  right_shard_layout : (Temporal.Interval.t * int) list;
+  right_shard_layout : shard list;
       (** The right side's shard layout, trusted under the same
           cardinality check as [shard_layout]; lets the evaluator skip
           right-side shards outside the window. *)
@@ -81,13 +91,13 @@ type plan = {
       (** The evaluated stream is exactly the relation in physical
           order (no filter/clip/group/distinct/granule/pre-sort), so
           run-time ordering observations transfer to the relation. *)
-  shard_layout : (Temporal.Interval.t * int) list;
+  shard_layout : shard list;
       (** The relation's storage-shard layout from
           {!Catalog.layout} ([[]] = unpartitioned), kept only when its
-          cardinalities sum to the relation's.  {!Eval} uses it to skip
-          shards outside the DURING window without touching their
-          tuples, and to pin a [Parallel] plan's evaluation shards to
-          storage shards. *)
+          cardinalities sum to the relation's.  {!Eval} visits only the
+          slices of shards that meet the DURING window, by index, and
+          pins a [Parallel] plan's evaluation shards to storage
+          shards. *)
   scanned_shards : int;
       (** Shards overlapping the window (all of them without a window);
           0 for an unpartitioned relation. *)

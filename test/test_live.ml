@@ -396,18 +396,10 @@ let test_eval_live_deadline () =
 (* Stats                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
-let test_stats_to_string_and_reset () =
+let test_stats_reset () =
   let stats = Live.Stats.create () in
   stats.Live.Stats.inserts <- 3;
   stats.Live.Stats.cache_hits <- 2;
-  let s = Live.Stats.to_string stats in
-  Alcotest.(check bool) "mentions inserts" true (contains_sub s "inserts=3");
-  Alcotest.(check bool) "mentions hits" true (contains_sub s "hits=2");
   Live.Stats.reset stats;
   Alcotest.(check int) "reset" 0 stats.Live.Stats.inserts
 
@@ -448,5 +440,5 @@ let () =
           quick "memory budget" test_eval_live_budget;
           quick "deadline" test_eval_live_deadline;
         ] );
-      ("stats", [ quick "to_string and reset" test_stats_to_string_and_reset ]);
+      ("stats", [ quick "reset" test_stats_reset ]);
     ]

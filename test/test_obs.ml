@@ -158,6 +158,34 @@ let test_trace_disarmed_passthrough () =
     (List.length (Obs.Trace.recorded ()));
   Obs.Trace.set_ring_capacity 2048
 
+(* Every Parallel evaluation spawns shard domains that trace and exit.
+   Their rings must not pile up: an exited domain's spans move into one
+   shared ring, so the rings hold at most the main domain's and that
+   one, and the last run's shard spans stay visible. *)
+let test_trace_exited_domains_retired () =
+  Obs.Trace.set_ring_capacity 64;
+  let data = random_data () in
+  for _ = 1 to 50 do
+    ignore
+      (Sys.opaque_identity
+         (Engine.eval
+            (Engine.Parallel { domains = 3; inner = Engine.Sweep })
+            Monoid.count (count_data data)))
+  done;
+  let occupancy, _ = Obs.Trace.ring_stats () in
+  let shard_spans_elsewhere =
+    List.exists
+      (fun (s : Obs.Trace.span) ->
+        s.label = "shard" && s.domain <> (Domain.self () :> int))
+      (Obs.Trace.recorded ())
+  in
+  Obs.Trace.set_ring_capacity 2048;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d spans held, at most two rings of 64" occupancy)
+    true (occupancy <= 2 * 64);
+  Alcotest.(check bool) "exited shard domains' spans visible" true
+    shard_spans_elsewhere
+
 (* Evaluate a 4-domain Parallel sweep on an emptied ring and check the
    span tree: one shard span per domain, every recorded parent id
    resolvable, and proper nesting (stack discipline) within each
@@ -938,10 +966,12 @@ let test_serve_metrics () =
 (* Tracing on the sweep hot path, with the always-on ring at its
    default capacity, is one span check and one ring append per eval:
    Engine.eval through it must stay within 3% of calling Sweep.eval
-   directly.  Paired rounds with a shared rep count cancel GC drift; the
-   bar is checked on the best of three tries so one noisy CI neighbour
-   cannot fail the suite, but a real regression (a per-tuple span, say)
-   fails all three. *)
+   directly.  Paired rounds with a shared rep count cancel GC drift, and
+   the rounds alternate which side runs first, so drift within a round
+   (a neighbour's load ramping up or down) lands on both sides alike;
+   the bar is checked on the best of three tries so one noisy CI
+   neighbour cannot fail the suite, but a real regression (a per-tuple
+   span, say) fails all three. *)
 let test_disarmed_overhead () =
   Obs.Trace.set_ring_capacity 2048;
   let data = random_data ~n:4096 ~seed:2 () in
@@ -966,13 +996,18 @@ let test_disarmed_overhead () =
   in
   let median_ratio () =
     let reps = calibrate bare in
-    let rounds = 5 in
+    let rounds = 11 in
     let ratios =
-      Array.init rounds (fun _ ->
+      Array.init rounds (fun round ->
           Gc.compact ();
-          let tb = timed reps bare in
-          let tr = timed reps routed in
-          tr /. tb)
+          if round mod 2 = 0 then
+            let tb = timed reps bare in
+            let tr = timed reps routed in
+            tr /. tb
+          else
+            let tr = timed reps routed in
+            let tb = timed reps bare in
+            tr /. tb)
     in
     Array.sort compare ratios;
     ratios.(rounds / 2)
@@ -1009,6 +1044,8 @@ let () =
             test_trace_disarmed_passthrough;
           Alcotest.test_case "parallel span tree" `Quick
             test_trace_parallel_span_tree;
+          Alcotest.test_case "exited domains retired" `Quick
+            test_trace_exited_domains_retired;
           Alcotest.test_case "chrome export" `Quick test_trace_chrome_export;
         ] );
       ( "recorder",

@@ -1,15 +1,18 @@
 (* Property tests for time-partitioned storage: a sharded partition must
-   be indistinguishable from a single heap — same tuples, same aggregate
-   timelines under any clip window and any boundary choice — while
-   pruning, splitting, repartitioning and shard faults happen around it.
+   be indistinguishable from a single heap — same tuples, same answers
+   under any statement and any boundary choice — while pruning,
+   splitting, repartitioning and shard faults happen around it.
 
-   The load-bearing property is [sharded_equals_single ~monoid]: route
-   random tuples through random boundaries, prune against a random
-   window, evaluate the surviving shard blocks shard-parallel with the
-   storage joints pinned via [shard_offsets], and demand the exact
-   brute-force timeline.  A pruning rule that used the owned range
-   instead of the extent (dropping tuples that start in one shard but
-   overhang into the window) fails this immediately. *)
+   The load-bearing properties are [sharded_equals_single]: bind the
+   same random tuples in memory and as partitions with random
+   boundaries, run one random statement (an aggregate with optional
+   WHERE, GROUP BY, DURING, GROUP BY SPAN and interval JOIN) through
+   [Session.exec_statement] on both, and demand the same rendered
+   answer — and, for an ungrouped join-free statement, the brute-force
+   reference timeline.  A pruning rule that used the owned range instead
+   of the extent (dropping tuples that start in one shard but overhang
+   into the window), or a slice that starts one tuple off, fails them
+   at once. *)
 
 open Temporal
 open Relation
@@ -21,6 +24,11 @@ let tuple_of (ivl, v) = Tuple.make [| Value.Int v |] ivl
 
 let value_of t =
   match Tuple.value t 0 with Value.Int v -> v | _ -> assert false
+
+let contains_sub s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
 
 (* ------------------------------------------------------------------ *)
 (* Temp-dir plumbing                                                   *)
@@ -87,70 +95,325 @@ let print_case (data, boundaries, window) =
     (match window with None -> "none" | Some w -> Interval.to_string w)
 
 (* ------------------------------------------------------------------ *)
-(* The sharded evaluation path, as the TSQL layer drives it            *)
+(* The statement path: one relation, two placements                    *)
 (* ------------------------------------------------------------------ *)
 
 let clip window ivl =
   match window with None -> Some ivl | Some w -> Interval.intersect ivl w
 
-let eval_sharded p window monoid =
-  let keep = Partition.prune p window in
-  let blocks =
-    List.map
-      (fun i ->
-        List.filter_map
-          (fun t ->
-            Option.map (fun ivl -> (ivl, value_of t)) (clip window (Tuple.valid t)))
-          (Partition.shard_tuples p i))
-      keep
+let with_dirs n f =
+  let dirs =
+    List.init n (fun _ ->
+        let dir = Filename.temp_file "tempagg_part" "" in
+        Sys.remove dir;
+        dir)
   in
-  let offsets = Array.make (List.length blocks + 1) 0 in
-  List.iteri (fun i b -> offsets.(i + 1) <- offsets.(i) + List.length b) blocks;
-  let data = List.to_seq (List.concat blocks) in
-  match blocks with
-  | [] | [ _ ] -> Tempagg.Engine.eval Tempagg.Engine.Sweep monoid data
-  | _ ->
-      Tempagg.Engine.eval ~shard_offsets:offsets
-        (Tempagg.Engine.Parallel
-           { domains = List.length blocks; inner = Tempagg.Engine.Sweep })
-        monoid data
+  Fun.protect ~finally:(fun () -> List.iter rm_rf dirs) (fun () -> f dirs)
 
-let reference window monoid data =
-  Tempagg.Reference.eval monoid
-    (List.filter_map
-       (fun (ivl, v) -> Option.map (fun w -> (w, v)) (clip window ivl))
-       data)
+(* A partition holding [tuples], reopened from its directory the way a
+   server session binds one. *)
+let stored ~dir ~boundaries schema tuples =
+  let p = Partition.create ~boundaries ~dir schema in
+  List.iter (Partition.insert p) tuples;
+  Partition.flush p;
+  Partition.load dir
 
-let sharded_equals_single ~name ~monoid ~equal_r =
-  QCheck2.Test.make ~name ~count:120 ~print:print_case gen_case
-    (fun (data, boundaries, window) ->
-      with_partition ~boundaries data (fun p ->
-          Timeline.equal equal_r
-            (reference window monoid data)
-            (eval_sharded p window monoid)))
+let select session text =
+  match Tsql.Parser.parse_statement text with
+  | Error e -> Error e
+  | Ok stmt -> (
+      match Tsql.Session.exec_statement session stmt with
+      | Ok (Tsql.Session.Rows rel) -> Ok rel
+      | Ok (Tsql.Session.Ack a) -> Error ("unexpected ack: " ^ a)
+      | Error e -> Error e)
+
+(* A one-column answer as (valid time, value) rows. *)
+let answer_rows rel =
+  List.map (fun t -> (Tuple.valid t, Tuple.value t 0)) (Trel.tuples rel)
+
+(* The reference timeline over [window] (the whole time-line without
+   one), coalesced the way a statement's answer is. *)
+let reference_rows ~window ~to_value monoid pairs =
+  let origin, horizon =
+    match window with
+    | Some w -> (Interval.start w, Interval.stop w)
+    | None -> (Chronon.origin, Chronon.forever)
+  in
+  Timeline.to_list
+    (Timeline.coalesce ~equal:Value.equal
+       (Timeline.map to_value
+          (Tempagg.Reference.eval ~origin ~horizon monoid pairs)))
+
+let close_values a b =
+  match (a, b) with
+  | Value.Float x, Value.Float y ->
+      Float.abs (x -. y) <= 1e-9 *. Float.max 1. (Float.abs x)
+  | _ -> Value.equal a b
+
+let same_rows a b =
+  List.equal
+    (fun (i, x) (j, y) -> Interval.equal i j && close_values x y)
+    a b
+
+(* Relations r and s: a group attribute, a nullable int, and intervals
+   over a small domain with the odd open-ended tuple, so shard
+   overhangs, duplicates and NULLs are common. *)
+let sql_schema = Schema.of_pairs [ ("g", Value.Tstring); ("v", Value.Tint) ]
+
+let gen_row =
+  QCheck2.Gen.(
+    let* s = int_bound (max_time - 1) in
+    let* stop =
+      frequency
+        [
+          (1, return Chronon.forever);
+          (9, map (fun len -> Chronon.of_int (min (max_time - 1) (s + len)))
+                (int_bound 60));
+        ]
+    in
+    let* g = oneofl [ "a"; "b"; "c" ] in
+    let* v = frequency [ (1, return None); (6, map Option.some (int_range 1 100)) ] in
+    return (Interval.make (Chronon.of_int s) stop, g, v))
+
+let gen_rows = QCheck2.Gen.(list_size (int_range 0 30) gen_row)
+
+let row_tuple (ivl, g, v) =
+  Tuple.make
+    [| Value.Str g; (match v with None -> Value.Null | Some v -> Value.Int v) |]
+    ivl
+
+(* Which relations the second placement partitions under a join; r
+   alone is partitioned otherwise. *)
+type side = Left | Right | Both
+
+type stmt = {
+  star : bool;  (** COUNT( * ) rather than COUNT(v) *)
+  where : [ `Gt of int | `Eq of string ] option;
+  by_g : bool;
+  span : int option;
+  window : (int * int) option;
+  join : side option;
+}
+
+let gen_stmt ~star_allowed =
+  QCheck2.Gen.(
+    let* star = if star_allowed then bool else return false in
+    let* where =
+      frequency
+        [
+          (2, return None);
+          (1, map (fun k -> Some (`Gt k)) (int_range 1 100));
+          (1, map (fun g -> Some (`Eq g)) (oneofl [ "a"; "b" ]));
+        ]
+    in
+    let* by_g = map (fun n -> n = 0) (int_bound 2) in
+    let* span = frequency [ (2, return None); (1, map Option.some (int_range 1 40)) ] in
+    let* window =
+      frequency
+        [
+          (1, return None);
+          ( 2,
+            let* lo = int_bound (max_time - 1) in
+            let* len = int_bound 80 in
+            return (Some (lo, min (max_time - 1) (lo + len))) );
+        ]
+    in
+    let* join =
+      frequency [ (2, return None); (1, map Option.some (oneofl [ Left; Right; Both ])) ]
+    in
+    return { star; where; by_g; span; window; join })
+
+let sql fn st =
+  let col c = if st.join = None then c else "r." ^ c in
+  let where =
+    match st.where with
+    | None -> ""
+    | Some (`Gt k) -> Printf.sprintf " WHERE %s > %d" (col "v") k
+    | Some (`Eq g) -> Printf.sprintf " WHERE %s = '%s'" (col "g") g
+  in
+  let groups =
+    (if st.by_g then [ col "g" ] else [])
+    @ Option.fold ~none:[] ~some:(fun n -> [ Printf.sprintf "SPAN %d" n ]) st.span
+  in
+  Printf.sprintf "SELECT %s(%s) FROM %s%s%s%s" fn
+    (if st.star then "*" else col "v")
+    (if st.join = None then "r" else "r JOIN s ON r.vt OVERLAPS s.vt")
+    (match st.window with
+    | None -> ""
+    | Some (a, b) -> Printf.sprintf " DURING [%d,%d]" a b)
+    where
+    (match groups with [] -> "" | gs -> " GROUP BY " ^ String.concat ", " gs)
+
+let gen_stmt_case ~star_allowed =
+  QCheck2.Gen.(
+    let* st = gen_stmt ~star_allowed in
+    let* r = gen_rows in
+    let* s = gen_rows in
+    let* rb = gen_boundaries in
+    let* sb = gen_boundaries in
+    return (st, r, s, rb, sb))
+
+let print_rows rows =
+  String.concat "; "
+    (List.map
+       (fun (ivl, g, v) ->
+         Printf.sprintf "%s %s %s" (Interval.to_string ivl) g
+           (Option.fold ~none:"null" ~some:string_of_int v))
+       rows)
+
+let print_stmt_case fn (st, r, s, rb, sb) =
+  let bounds bs = String.concat "," (List.map string_of_int bs) in
+  Printf.sprintf "%s\npartitioned: %s\nr=[%s] boundaries=[%s]\ns=[%s] boundaries=[%s]"
+    (sql fn st)
+    (match st.join with
+    | None | Some Left -> "r"
+    | Some Right -> "s"
+    | Some Both -> "r, s")
+    (print_rows r) (bounds rb) (print_rows s) (bounds sb)
+
+(* The statement shapes every run must draw at least once. *)
+let shapes =
+  [
+    ("COUNT(*)", fun st -> st.star);
+    ("WHERE", fun st -> st.where <> None);
+    ("GROUP BY attribute", fun st -> st.by_g);
+    ("GROUP BY SPAN", fun st -> st.span <> None);
+    ("DURING", fun st -> st.window <> None);
+    ("JOIN, left partitioned", fun st -> st.join = Some Left);
+    ("JOIN, right partitioned", fun st -> st.join = Some Right);
+    ("JOIN, both partitioned", fun st -> st.join = Some Both);
+    ( "single aggregate",
+      fun st -> st.join = None && (not st.by_g) && st.span = None );
+  ]
+
+(* Run [fn]'s statement over the same tuples placed in memory and placed
+   in partitions with random boundaries, through the whole statement
+   path ([Session.exec_statement]): the rendered answers must agree,
+   and an ungrouped, join-free answer must equal the reference
+   timeline over the filtered, clipped pairs. *)
+let sharded_equals_single ~name ~fn ~monoid ~to_value =
+  let seen = Hashtbl.create 16 in
+  let star_allowed = fn = "COUNT" in
+  let test =
+    QCheck2.Test.make ~name ~count:60 ~print:(print_stmt_case fn)
+      (gen_stmt_case ~star_allowed)
+      (fun ((st, r, s, rb, sb) as case) ->
+        List.iter
+          (fun (shape, drawn) -> if drawn st then Hashtbl.replace seen shape ())
+          shapes;
+        let text = sql fn st in
+        let in_memory =
+          List.fold_left
+            (fun cat (name, rows) ->
+              Tsql.Catalog.add cat name
+                (Trel.create sql_schema (List.map row_tuple rows)))
+            (Tsql.Catalog.create ())
+            [ ("r", r); ("s", s) ]
+        in
+        let parted =
+          match st.join with
+          | None | Some Left -> [ ("r", r, rb) ]
+          | Some Right -> [ ("s", s, sb) ]
+          | Some Both -> [ ("r", r, rb); ("s", s, sb) ]
+        in
+        with_dirs (List.length parted) (fun dirs ->
+            let placed = Tsql.Session.create in_memory in
+            List.iter2
+              (fun (name, rows, boundaries) dir ->
+                Tsql.Session.add_partition placed name
+                  (stored ~dir ~boundaries sql_schema (List.map row_tuple rows)))
+              parted dirs;
+            match
+              (select (Tsql.Session.create in_memory) text, select placed text)
+            with
+            | Error e, _ | _, Error e ->
+                QCheck2.Test.fail_reportf "%s: %s" text e
+            | Ok single, Ok sharded ->
+                let rendered = Tsql.Pretty.result_to_string in
+                if rendered single <> rendered sharded then
+                  QCheck2.Test.fail_reportf "%s\nin memory:\n%s\npartitioned:\n%s"
+                    (print_stmt_case fn case) (rendered single) (rendered sharded);
+                if st.join <> None || st.by_g || st.span <> None then true
+                else
+                  let window = Option.map (fun (a, b) -> iv a b) st.window in
+                  let passes (_, g, v) =
+                    match st.where with
+                    | None -> true
+                    | Some (`Gt k) -> Option.fold ~none:false ~some:(fun v -> v > k) v
+                    | Some (`Eq x) -> g = x
+                  in
+                  let pairs =
+                    List.filter_map
+                      (fun ((ivl, _, v) as row) ->
+                        let v = if st.star then Some 0 else v in
+                        match (passes row, v) with
+                        | true, Some v ->
+                            Option.map (fun c -> (c, v)) (clip window ivl)
+                        | _ -> None)
+                      r
+                  in
+                  same_rows (answer_rows sharded)
+                    (reference_rows ~window ~to_value monoid pairs)))
+  in
+  let name, speed, run = QCheck_alcotest.to_alcotest ~long:false test in
+  ( name,
+    speed,
+    fun () ->
+      Hashtbl.reset seen;
+      run ();
+      List.iter
+        (fun (shape, _) ->
+          if (star_allowed || shape <> "COUNT(*)")
+             && not (Hashtbl.mem seen shape)
+          then Alcotest.failf "%s: no %s statement was drawn" name shape)
+        shapes )
+
+let int_value n = Value.Int n
+let option_value = function None -> Value.Null | Some v -> Value.Int v
+
+(* COUNT( * ) of [p] through the statement path must equal the
+   reference over [data] clipped to [window]. *)
+let count_matches p window data =
+  let session = Tsql.Session.create (Tsql.Catalog.create ()) in
+  Tsql.Session.add_partition session "r" p;
+  let text =
+    "SELECT COUNT(*) FROM r"
+    ^ Option.fold ~none:""
+        ~some:(fun w ->
+          Printf.sprintf " DURING [%d,%d]"
+            (Chronon.to_int (Interval.start w))
+            (Chronon.to_int (Interval.stop w)))
+        window
+  in
+  match select session text with
+  | Error e -> QCheck2.Test.fail_reportf "%s: %s" text e
+  | Ok rel ->
+      same_rows (answer_rows rel)
+        (reference_rows ~window ~to_value:int_value Tempagg.Monoid.count
+           (List.filter_map
+              (fun (ivl, v) -> Option.map (fun c -> (c, v)) (clip window ivl))
+              data))
 
 let count_sharded =
-  sharded_equals_single ~name:"COUNT: sharded = single heap"
-    ~monoid:Tempagg.Monoid.count ~equal_r:Int.equal
+  sharded_equals_single ~name:"COUNT: sharded = single heap" ~fn:"COUNT"
+    ~monoid:Tempagg.Monoid.count ~to_value:int_value
 
 let sum_sharded =
-  sharded_equals_single ~name:"SUM: sharded = single heap"
-    ~monoid:Tempagg.Monoid.sum_int ~equal_r:Int.equal
+  sharded_equals_single ~name:"SUM: sharded = single heap" ~fn:"SUM"
+    ~monoid:Tempagg.Monoid.sum_int ~to_value:int_value
 
 let min_sharded =
-  sharded_equals_single ~name:"MIN: sharded = single heap"
-    ~monoid:Tempagg.Monoid.min_int ~equal_r:(Option.equal Int.equal)
+  sharded_equals_single ~name:"MIN: sharded = single heap" ~fn:"MIN"
+    ~monoid:Tempagg.Monoid.min_int ~to_value:option_value
 
 let max_sharded =
-  sharded_equals_single ~name:"MAX: sharded = single heap"
-    ~monoid:Tempagg.Monoid.max_int ~equal_r:(Option.equal Int.equal)
+  sharded_equals_single ~name:"MAX: sharded = single heap" ~fn:"MAX"
+    ~monoid:Tempagg.Monoid.max_int ~to_value:option_value
 
 let avg_sharded =
-  sharded_equals_single ~name:"AVG: sharded = single heap"
+  sharded_equals_single ~name:"AVG: sharded = single heap" ~fn:"AVG"
     ~monoid:Tempagg.Monoid.avg_int
-    ~equal_r:
-      (Option.equal (fun a b ->
-           Float.abs (a -. b) <= 1e-9 *. Float.max 1. (Float.abs a)))
+    ~to_value:(function None -> Value.Null | Some f -> Value.Float f)
 
 (* ------------------------------------------------------------------ *)
 (* Structural invariants                                               *)
@@ -213,9 +476,7 @@ let split_respects_threshold =
     (fun (data, boundaries, window) ->
       with_partition ~split_threshold:4 ~boundaries data (fun p ->
           input_multiset data = multiset (Trel.tuples (Partition.materialize p))
-          && Timeline.equal Int.equal
-               (reference window Tempagg.Monoid.count data)
-               (eval_sharded p window Tempagg.Monoid.count)))
+          && count_matches p window data))
 
 let repartition_preserves =
   QCheck2.Test.make ~name:"repartition: contents and timelines survive"
@@ -229,9 +490,7 @@ let repartition_preserves =
           Partition.repartition p boundaries';
           Partition.boundaries p = boundaries'
           && input_multiset data = multiset (Trel.tuples (Partition.materialize p))
-          && Timeline.equal Int.equal
-               (reference window Tempagg.Monoid.count data)
-               (eval_sharded p window Tempagg.Monoid.count)))
+          && count_matches p window data))
 
 let load_roundtrip =
   QCheck2.Test.make ~name:"load: layout and tuples survive reopen" ~count:60
@@ -404,6 +663,94 @@ let test_prune_uses_extents () =
       Alcotest.(check int) "all kept without a window" 4
         (List.length (Partition.prune p None)))
 
+(* ------------------------------------------------------------------ *)
+(* Sharded plans over an in-memory layout                              *)
+(* ------------------------------------------------------------------ *)
+
+(* [shards] shards of [per_shard] tuples each, shard i spanning
+   [1000i, 1000i + 999], in random order within each shard. *)
+let layout_catalog ~shards ~per_shard =
+  let rng = Random.State.make [| shards; per_shard |] in
+  let tuples =
+    Array.init (shards * per_shard) (fun k ->
+        let base = k / per_shard * 1000 in
+        let s = base + Random.State.int rng 1000 in
+        tuple_of
+          ( iv s (min (base + 999) (s + Random.State.int rng 40)),
+            1 + Random.State.int rng 100 ))
+  in
+  Tsql.Catalog.with_layout
+    (Tsql.Catalog.add (Tsql.Catalog.create ()) "r" (Trel.of_array schema tuples))
+    "r"
+    (List.init shards (fun i -> (iv (i * 1000) ((i * 1000) + 999), per_shard)))
+
+let plan_of catalog text =
+  match Result.bind (Tsql.Parser.parse text) (Tsql.Eval.plan catalog) with
+  | Ok plan -> plan
+  | Error e -> Alcotest.failf "%s: %s" text e
+
+(* A window over two shards plans parallel(2, sweep).  No inner
+   algorithm of it can fail without a budget, so it keeps FAIL and runs
+   on the plain engine path: no recovery attempt is recorded. *)
+let test_two_shard_plan_keeps_fail () =
+  let catalog = layout_catalog ~shards:4 ~per_shard:1000 in
+  let text = "SELECT COUNT(v) FROM r DURING [900,1100]" in
+  let plan = plan_of catalog text in
+  Alcotest.(check string) "algorithm" "parallel(2,sweep)"
+    (Tempagg.Engine.name plan.Tsql.Semant.algorithm);
+  Alcotest.(check bool) "on error FAIL" true
+    (plan.Tsql.Semant.on_error = Tempagg.Engine.Fail);
+  (match Tsql.Eval.explain catalog text with
+  | Ok text ->
+      Alcotest.(check bool) "no on-error suffix" false
+        (contains_sub text "on error")
+  | Error e -> Alcotest.fail e);
+  Obs.Trace.clear ();
+  (match Tsql.Eval.execute catalog plan with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check (list string)) "no attempt span" []
+    (List.filter_map
+       (fun (sp : Obs.Trace.span) ->
+         if sp.Obs.Trace.label = "attempt" then Some sp.Obs.Trace.label
+         else None)
+       (Obs.Trace.recorded ()))
+
+(* Minor words allocated by planning and executing [text] (after one
+   warm-up run). *)
+let words_per_read catalog text =
+  let q =
+    match Tsql.Parser.parse text with
+    | Ok q -> q
+    | Error e -> Alcotest.failf "%s: %s" text e
+  in
+  let run () =
+    match Result.bind (Tsql.Eval.plan catalog q) (Tsql.Eval.execute catalog) with
+    | Ok report -> ignore (Sys.opaque_identity report)
+    | Error e -> Alcotest.failf "%s: %s" text e
+  in
+  run ();
+  let before = Gc.minor_words () in
+  run ();
+  Gc.minor_words () -. before
+
+(* A read whose window keeps one shard costs what that shard costs:
+   the same read over four times the shards (and tuples) allocates
+   nearly the same, for a plain window and for span grouping alike. *)
+let test_pruned_read_allocation () =
+  let small = layout_catalog ~shards:16 ~per_shard:1000
+  and large = layout_catalog ~shards:64 ~per_shard:1000 in
+  List.iter
+    (fun text ->
+      let w16 = words_per_read small text and w64 = words_per_read large text in
+      if w64 >= 1.5 *. w16 then
+        Alcotest.failf "%s: %.0f words over 64 shards, %.0f over 16 (bar: < 1.5x)"
+          text w64 w16)
+    [
+      "SELECT COUNT(v) FROM r DURING [5200,5499]";
+      "SELECT AVG(v) FROM r DURING [5100,5899] GROUP BY SPAN 100";
+    ]
+
 let quick name f = Alcotest.test_case name `Quick f
 let prop = QCheck_alcotest.to_alcotest ~long:false
 
@@ -413,14 +760,8 @@ let () =
   Alcotest.run "partition"
     [
       ( "sharded-vs-single",
-        List.map prop
-          [
-            count_sharded;
-            sum_sharded;
-            min_sharded;
-            max_sharded;
-            avg_sharded;
-          ] );
+        [ count_sharded; sum_sharded; min_sharded; max_sharded; avg_sharded ]
+      );
       ( "invariants",
         List.map prop
           [
@@ -431,6 +772,12 @@ let () =
             load_roundtrip;
             choose_boundaries_well_formed;
           ] );
+      ( "sharded-plans",
+        [
+          quick "two-shard plan keeps FAIL" test_two_shard_plan_keeps_fail;
+          quick "pruned read allocates per kept shard"
+            test_pruned_read_allocation;
+        ] );
       ( "faults",
         [
           quick "transient faults recovered by retry"

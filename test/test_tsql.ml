@@ -487,23 +487,6 @@ let test_parse_statement_roundtrip () =
       "DELETE FROM Employed";
     ]
 
-let test_parse_script () =
-  match
-    Tsql.Parser.parse_script
-      "-- a comment-only line\n\
-       CREATE VIEW v AS SELECT COUNT(*) FROM Employed;\n\
-       SELECT * FROM v;\n\
-       DROP VIEW v"
-  with
-  | Error msg -> Alcotest.fail msg
-  | Ok statements ->
-      Alcotest.(check int) "three statements" 3 (List.length statements)
-
-let test_parse_script_empty_statements_skipped () =
-  match Tsql.Parser.parse_script ";;SELECT COUNT(*) FROM Employed;;" with
-  | Error msg -> Alcotest.fail msg
-  | Ok statements -> Alcotest.(check int) "one" 1 (List.length statements)
-
 let test_parse_statement_errors () =
   List.iter
     (fun (s, fragment) ->
@@ -913,9 +896,6 @@ let () =
           quick "ddl/dml keywords" test_lexer_statement_keywords;
           quick "line comments" test_lexer_line_comments;
           quick "statement roundtrip" test_parse_statement_roundtrip;
-          quick "script" test_parse_script;
-          quick "empty statements skipped"
-            test_parse_script_empty_statements_skipped;
           quick "statement syntax errors" test_parse_statement_errors;
         ] );
       ( "session",
