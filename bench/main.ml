@@ -1183,7 +1183,8 @@ let guard_bench cfg =
 (* Writes the observability artifacts next to the --json output: the
    ring's Chrome trace of a Parallel sweep (BENCH_trace.json — load it
    in about://tracing or Perfetto, one row per domain) and a Prometheus
-   exposition of a profiled run (BENCH_metrics.txt). *)
+   exposition of an instrumented run's engine gauges
+   (BENCH_metrics.txt). *)
 let write_obs_artifacts cfg =
   match cfg.json with
   | None -> ()
@@ -1206,17 +1207,13 @@ let write_obs_artifacts cfg =
           output_string oc (Obs.Trace.to_chrome_json spans));
       Printf.printf "(trace written to %s: %d spans)\n" trace_path
         (List.length spans);
-      (* Metrics: a profiled robust run folded into a registry. *)
+      (* Metrics: an instrumented run's snapshot folded into a registry. *)
       let registry = Obs.Metrics.create () in
-      let profile = Obs.Profile.create () in
-      (match
-         Tempagg.Engine.eval_robust ~profile Tempagg.Engine.Sweep
-           Tempagg.Monoid.count (count_data random)
-       with
-      | Ok (_, degradations) ->
-          Tempagg.Engine.degradations_to_metrics registry degradations
-      | Error _ -> ());
-      Obs.Profile.to_metrics registry profile;
+      let _, stats =
+        Tempagg.Engine.eval_with_stats Tempagg.Engine.Sweep
+          Tempagg.Monoid.count (count_data random)
+      in
+      Tempagg.Instrument.snapshot_to_metrics registry stats;
       let metrics_path = Filename.concat dir "BENCH_metrics.txt" in
       Out_channel.with_open_text metrics_path (fun oc ->
           output_string oc (Obs.Metrics.expose registry));

@@ -231,19 +231,20 @@ let metrics_arg =
     & info [ "metrics" ]
         ~doc:
           "After the run, print a Prometheus-style metrics exposition \
-           (I/O counters, degradations, and profile gauges with \
-           $(b,--profile)) on stdout.")
+           (I/O counters, degradations, and with $(b,--profile) the \
+           run's engine gauges) on stdout.")
 
 let profile_arg =
   Arg.(
     value & flag
     & info [ "profile" ]
         ~doc:
-          "Run the query with an EXPLAIN-ANALYZE profile: algorithm and \
-           rationale, k estimate, every evaluation attempt with its node \
-           allocations and peak bytes (aborted fallback attempts \
-           included), phase timings and output size.  Printed after the \
-           result.  Query command only.")
+          "Print the query's EXPLAIN ANALYZE report after the result: \
+           the plan and why it was chosen, then the tree of the spans \
+           the run recorded (plan, scan, every evaluation attempt with \
+           its outcome, node allocations and peak bytes — aborted \
+           fallback attempts included), degradations, output size and \
+           total time.  Query command only.")
 
 let no_adaptive_arg =
   Arg.(
@@ -281,12 +282,12 @@ let exec kind bindings algorithm domains on_error join_strategy memory_budget
      reads, external sorts) land in the same timeline as the evaluation. *)
   if trace <> None then Obs.Trace.set_ring_capacity trace_ring_spans;
   let io_stats = Storage.Io_stats.create () in
-  let print_metrics ?profile_report degradations =
+  let print_metrics ?engine degradations =
     if metrics then begin
       let registry = Obs.Metrics.create () in
       Storage.Io_stats.to_metrics registry io_stats;
       Tempagg.Engine.degradations_to_metrics registry degradations;
-      Option.iter (Obs.Profile.to_metrics registry) profile_report;
+      Option.iter (Tempagg.Instrument.snapshot_to_metrics registry) engine;
       print_string (Obs.Metrics.expose registry)
     end
   in
@@ -309,19 +310,24 @@ let exec kind bindings algorithm domains on_error join_strategy memory_budget
                     match kind with
                     | `Run ->
                         let ( let* ) = Result.bind in
-                        let profile =
-                          if profile then Some (Obs.Profile.create ()) else None
-                        in
                         let* ast = Tsql.Parser.parse q in
-                        let* plan =
-                          Tsql.Eval.plan ~adaptive ?algorithm ?domains
-                            ?on_error ?join_strategy ?profile catalog ast
+                        let run () =
+                          let* plan =
+                            Tsql.Eval.plan ~adaptive ?algorithm ?domains
+                              ?on_error ?join_strategy catalog ast
+                          in
+                          let* report =
+                            Tsql.Eval.execute ?memory_budget ?deadline_ms
+                              catalog plan
+                          in
+                          Ok (plan, report)
                         in
-                        let* report =
-                          Tsql.Eval.execute ?memory_budget ?deadline_ms
-                            ?profile catalog plan
-                        in
-                        Ok (`Report (report, profile))
+                        if profile then
+                          let* report, text = Tsql.Eval.analyze run in
+                          Ok (`Report (report, Some text))
+                        else
+                          let* _, report = run () in
+                          Ok (`Report (report, None))
                     | `Explain ->
                         Result.map
                           (fun s -> `Text s)
@@ -337,8 +343,13 @@ let exec kind bindings algorithm domains on_error join_strategy memory_budget
           Printf.eprintf "degraded: %s\n%!"
             (Tempagg.Engine.degradation_to_string d))
         degradations;
-      Option.iter (fun p -> print_string (Obs.Profile.to_string p)) profile;
-      print_metrics ?profile_report:profile degradations;
+      Option.iter print_string profile;
+      print_metrics
+        ?engine:
+          (Option.map
+             (fun _ -> Tempagg.Engine.snapshot_of_spans (Obs.Trace.recorded ()))
+             profile)
+        degradations;
       `Ok ()
   | Ok (`Text text) ->
       print_endline text;
@@ -853,10 +864,10 @@ let serve_cmd =
       & info [ "slowlog-ms" ] ~docv:"MS"
           ~doc:
             "Capture statements taking at least $(docv) milliseconds into \
-             the slow-query log (0 captures everything).  With a slowlog \
-             every statement runs with a profile, so a slow SELECT against \
-             a base relation carries the EXPLAIN ANALYZE report of its own \
-             run.")
+             the slow-query log (0 captures everything).  Each entry's \
+             profile is the statement's span tree from its pinned trace: \
+             which layer took the time and, under plan, why that plan was \
+             chosen.")
   in
   let slowlog_out =
     Arg.(

@@ -54,7 +54,8 @@ let () =
   (* The plain aggregation tree computes the same answer but must hold
      every constant interval in memory until the end. *)
   let plain, plain_stats =
-    Tempagg.Agg_tree.eval_with_stats Tempagg.Monoid.count (Array.to_seq data)
+    Tempagg.Engine.eval_with_stats Tempagg.Engine.Aggregation_tree
+      Tempagg.Monoid.count (Array.to_seq data)
   in
   assert (Timeline.equal Int.equal plain timeline);
 

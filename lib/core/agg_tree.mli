@@ -55,10 +55,3 @@ val eval :
   (Interval.t * 'v) Seq.t ->
   'r Timeline.t
 (** One-shot: build the tree from the sequence and traverse it. *)
-
-val eval_with_stats :
-  ?origin:Chronon.t ->
-  ?horizon:Chronon.t ->
-  ('v, 's, 'r) Monoid.t ->
-  (Interval.t * 'v) Seq.t ->
-  'r Timeline.t * Instrument.snapshot

@@ -211,8 +211,3 @@ let eval ?origin ?horizon ?instrument monoid data =
   let t = create ?origin ?horizon ?instrument monoid in
   insert_all t data;
   result t
-
-let eval_with_stats ?origin ?horizon monoid data =
-  let inst = Instrument.create ~node_bytes () in
-  let timeline = eval ?origin ?horizon ~instrument:inst monoid data in
-  (timeline, Instrument.snapshot inst)

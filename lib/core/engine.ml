@@ -97,6 +97,60 @@ let rec node_bytes = function
   | Parallel { inner; _ } -> node_bytes inner
   | Linked_list | Aggregation_tree | Korder_tree _ | Two_scan | Sweep -> 16
 
+(* An "eval" span around [f] that, on the way out — a raise included,
+   so an aborted attempt keeps its figures — records what [instrument]
+   counted: the paper's memory measures, per evaluation. *)
+let in_eval_span algorithm instrument f =
+  Obs.Trace.with_span ~attrs:[ ("algorithm", name algorithm) ] "eval" (fun () ->
+      Fun.protect
+        ~finally:(fun () ->
+          Obs.Trace.annotate
+            [
+              ("allocated_nodes", string_of_int (Instrument.allocated instrument));
+              ("peak_bytes", string_of_int (Instrument.peak_bytes instrument));
+            ])
+        f)
+
+(* The engine figures of a traced run as one snapshot, read off its
+   outermost "eval" spans.  An eval inside another eval or a parallel
+   shard is skipped: the enclosing instrument absorbed its counts.
+   Allocations add up and the largest peak wins, as for evaluations run
+   one after another; the peak's node size is its own algorithm's. *)
+let snapshot_of_spans spans =
+  let labels = Hashtbl.create 64 in
+  List.iter
+    (fun (s : Obs.Trace.span) -> Hashtbl.replace labels s.id s.label)
+    spans;
+  let outermost (s : Obs.Trace.span) =
+    s.label = "eval"
+    &&
+    match Option.bind s.parent (Hashtbl.find_opt labels) with
+    | Some ("eval" | "shard") -> false
+    | _ -> true
+  in
+  let figure name (s : Obs.Trace.span) =
+    Option.fold ~none:0 ~some:int_of_string (List.assoc_opt name s.attrs)
+  in
+  let node_bytes_of (s : Obs.Trace.span) =
+    match Option.map of_string (List.assoc_opt "algorithm" s.attrs) with
+    | Some (Ok alg) -> node_bytes alg
+    | Some (Error _) | None -> 16
+  in
+  List.fold_left
+    (fun (acc : Instrument.snapshot) s ->
+      if not (outermost s) then acc
+      else
+        let acc =
+          { acc with allocated = acc.allocated + figure "allocated_nodes" s }
+        in
+        let peak_bytes = figure "peak_bytes" s in
+        if peak_bytes <= acc.peak_bytes then acc
+        else
+          let node_bytes = node_bytes_of s in
+          { acc with peak_bytes; node_bytes; peak_live = peak_bytes / node_bytes })
+    { Instrument.allocated = 0; peak_live = 0; node_bytes = 16; peak_bytes = 0 }
+    spans
+
 let rec eval : type v s r.
     ?origin:Chronon.t ->
     ?horizon:Chronon.t ->
@@ -107,7 +161,7 @@ let rec eval : type v s r.
     (Interval.t * v) Seq.t ->
     r Timeline.t =
  fun ?origin ?horizon ?instrument ?shard_offsets algorithm monoid data ->
-  let run () =
+  let run instrument =
     match algorithm with
     | Linked_list -> Linked_list.eval ?origin ?horizon ?instrument monoid data
     | Aggregation_tree -> Agg_tree.eval ?origin ?horizon ?instrument monoid data
@@ -131,10 +185,17 @@ let rec eval : type v s r.
   in
   (* Recording check here rather than inside [with_span], so the cost
      on the hot path with every sink off is the atomic loads and no
-     closure capture of the attrs list. *)
+     closure capture of the attrs list.  When recording, the span needs
+     an instrument to read; every algorithm makes one when given none,
+     so making it here costs the same. *)
   if Obs.Trace.recording () then
-    Obs.Trace.with_span ~attrs:[ ("algorithm", name algorithm) ] "eval" run
-  else run ()
+    let instrument =
+      match instrument with
+      | Some i -> i
+      | None -> Instrument.create ~node_bytes:(node_bytes algorithm) ()
+    in
+    in_eval_span algorithm instrument (fun () -> run (Some instrument))
+  else run instrument
 
 let eval_with_stats ?origin ?horizon ?shard_offsets algorithm monoid data =
   let inst = Instrument.create ~node_bytes:(node_bytes algorithm) () in
@@ -254,169 +315,130 @@ let eval_robust : type v s r.
     ?on_error:on_error ->
     ?memory_budget:int ->
     ?deadline_ms:float ->
-    ?profile:Obs.Profile.t ->
     ?shard_offsets:int array ->
     algorithm ->
     (v, s, r) Monoid.t ->
     (Interval.t * v) Seq.t ->
     (r Timeline.t * degradation list, error) result =
  fun ?origin ?horizon ?(on_error = Fallback) ?memory_budget ?deadline_ms
-     ?profile ?shard_offsets algorithm monoid data ->
-  (* Materialize once so every retry sees the same tuples even if the
-     caller's Seq is ephemeral (e.g. a single-pass storage scan). *)
-  let mat_t0 = Unix.gettimeofday () in
-  let tuples = Array.of_seq data in
-  Option.iter
-    (fun p ->
-      Obs.Profile.set_tuples p (Array.length tuples);
-      Obs.Profile.add_phase p "materialize"
-        ((Unix.gettimeofday () -. mat_t0) *. 1000.))
-    profile;
-  let data = Array.to_seq tuples in
-  let guard = Guard.create ?memory_budget ?deadline_ms () in
-  let degradations = ref [] in
-  let note ~stage ~reason ~action =
-    let d = { stage; reason; action } in
-    degradations := d :: !degradations;
-    Option.iter
-      (fun p -> Obs.Profile.note_degradation p (degradation_to_string d))
-      profile
-  in
-  (* One attempt with algorithm [alg], under [guard].  Raises on failure;
-     the caller decides whether the policy and chain allow a retry. *)
-  let attempt alg =
-    let attempt_t0 = Unix.gettimeofday () in
-    (* With no limits configured and no profile requested, skip the
-       instrument entirely so the happy path costs exactly what a plain
-       [eval] does (the <3% guard-overhead bar in the bench's [guard]
-       section). *)
-    let inst =
-      if Guard.unlimited guard && profile = None then None
-      else begin
-        let i = Instrument.create ~node_bytes:(node_bytes alg) () in
-        if not (Guard.unlimited guard) then begin
-          (* Parallel shards inherit this instrument's hook and run
-             concurrently, so each shard is held to an equal split of
-             the memory budget (their live bytes add up); the deadline
-             clock is shared. *)
-          let g =
-            match alg with
-            | Parallel { domains; _ } ->
-                let ways =
-                  match shard_offsets with
-                  | Some o -> Stdlib.max 1 (Array.length o - 1)
-                  | None -> domains
-                in
-                Guard.split guard ways
-            | _ -> guard
-          in
-          Guard.attach g i
-        end;
-        Some i
-      end
-    in
-    let data () = Guard.wrap_seq guard data in
-    let body () =
-      match (alg, on_error) with
-      | Korder_tree { k }, Skip ->
-          (* Skip mode: drop (and count) each misordered tuple instead of
-             abandoning the k-ordered tree. *)
-          let t =
-            Korder_tree.create ?origin ?horizon ?instrument:inst ~k monoid
-          in
-          let skipped = ref 0 in
-          Seq.iter
-            (fun (iv, v) ->
-              match Korder_tree.insert t iv v with
-              | () -> ()
-              | exception Korder_tree.Order_violation _ -> incr skipped)
-            (data ());
-          let timeline = Korder_tree.finish t in
-          if !skipped > 0 then
-            note ~stage:(name alg) ~reason:"input not k-ordered"
-              ~action:(Printf.sprintf "skipped %d misordered tuples" !skipped);
-          timeline
-      | Parallel { domains; inner }, (Fallback | Skip) ->
-          let state_monoid = { monoid with Monoid.output = Fun.id } in
-          let fallback_shard ~shard ~exn ~instrument shard_data =
-            let fb = shard_fallback_algorithm exn in
-            note
-              ~stage:(Printf.sprintf "%s shard %d" (name inner) shard)
-              ~reason:(reason_of_exn exn)
-              ~action:(Printf.sprintf "re-evaluated inline with %s" (name fb));
-            eval ?origin ?horizon ?instrument fb state_monoid shard_data
-          in
-          Parallel.eval ?instrument:inst ~fallback_shard ?offsets:shard_offsets
-            ~domains
-            ~eval_shard:(fun ~instrument shard ->
-              eval ?origin ?horizon ?instrument inner state_monoid shard)
-            monoid (data ())
-      | _ ->
-          eval ?origin ?horizon ?instrument:inst ?shard_offsets alg monoid
-            (data ())
-    in
-    let body () =
-      if Obs.Trace.recording () then
-        Obs.Trace.with_span ~attrs:[ ("algorithm", name alg) ] "attempt" body
-      else body ()
-    in
-    (* Record the attempt in the profile whether it succeeded or not:
-       a failed attempt's instrument snapshot used to vanish with the
-       exception, under-reporting peak memory for fallback chains. *)
-    let record outcome =
-      Option.iter
-        (fun p ->
-          let elapsed_ms = (Unix.gettimeofday () -. attempt_t0) *. 1000. in
-          match inst with
-          | Some i ->
-              let s = Instrument.snapshot i in
-              Obs.Profile.add_attempt p ~algorithm:(name alg) ~outcome
-                ~allocated_nodes:s.Instrument.allocated
-                ~peak_live:s.Instrument.peak_live
-                ~node_bytes:s.Instrument.node_bytes
-                ~peak_bytes:s.Instrument.peak_bytes ~elapsed_ms ()
-          | None ->
-              Obs.Profile.add_attempt p ~algorithm:(name alg) ~outcome
-                ~elapsed_ms ())
-        profile
-    in
-    match body () with
-    | timeline ->
-        record "ok";
-        timeline
-    | exception e ->
-        record (reason_of_exn e);
-        raise e
-  in
-  let error_of_exn = function
-    | Korder_tree.Order_violation { position; _ } -> Not_k_ordered { position }
-    | Guard.Budget_exceeded { budget_bytes; used_bytes } ->
-        Budget_exhausted { budget_bytes; used_bytes }
-    | Guard.Deadline_exceeded { deadline_ms; elapsed_ms } ->
-        Deadline_exhausted { deadline_ms; elapsed_ms }
-    | Invalid_argument msg -> Eval_failed msg
-    | e -> raise e
-  in
-  let rec go alg =
-    match attempt alg with
-    | timeline -> Ok (timeline, List.rev !degradations)
-    | exception e -> (
-        match (on_error, fallback_step e alg) with
-        | (Fallback | Skip), Some alg' ->
-            note ~stage:(name alg) ~reason:(reason_of_exn e)
-              ~action:("retrying with " ^ name alg');
-            go alg'
-        | _ -> Error (error_of_exn e))
-  in
+     ?shard_offsets algorithm monoid data ->
   let run () =
-    let eval_t0 = Unix.gettimeofday () in
-    let result = go algorithm in
-    Option.iter
-      (fun p ->
-        Obs.Profile.add_phase p "evaluate"
-          ((Unix.gettimeofday () -. eval_t0) *. 1000.))
-      profile;
-    result
+    (* Materialize once so every retry sees the same tuples even if the
+       caller's Seq is ephemeral (e.g. a single-pass storage scan). *)
+    let tuples = Array.of_seq data in
+    if Obs.Trace.recording () then
+      Obs.Trace.annotate [ ("tuples", string_of_int (Array.length tuples)) ];
+    let data = Array.to_seq tuples in
+    let guard = Guard.create ?memory_budget ?deadline_ms () in
+    let degradations = ref [] in
+    let note ~stage ~reason ~action =
+      degradations := { stage; reason; action } :: !degradations
+    in
+    (* One attempt with algorithm [alg], under [guard].  Raises on
+       failure; the caller decides whether the policy and chain allow a
+       retry. *)
+    let attempt alg =
+      let inst = Instrument.create ~node_bytes:(node_bytes alg) () in
+      if not (Guard.unlimited guard) then begin
+        (* Parallel shards inherit this instrument's hook and run
+           concurrently, so each shard is held to an equal split of the
+           memory budget (their live bytes add up); the deadline clock
+           is shared. *)
+        let g =
+          match alg with
+          | Parallel { domains; _ } ->
+              let ways =
+                match shard_offsets with
+                | Some o -> Stdlib.max 1 (Array.length o - 1)
+                | None -> domains
+              in
+              Guard.split guard ways
+          | _ -> guard
+        in
+        Guard.attach g inst
+      end;
+      let data () = Guard.wrap_seq guard data in
+      (* The two shapes [eval] cannot express get their own "eval" span,
+         so every attempt's evaluation carries its figures. *)
+      let traced f =
+        if Obs.Trace.recording () then in_eval_span alg inst f else f ()
+      in
+      let body () =
+        match (alg, on_error) with
+        | Korder_tree { k }, Skip ->
+            (* Skip mode: drop (and count) each misordered tuple instead
+               of abandoning the k-ordered tree. *)
+            traced (fun () ->
+                let t =
+                  Korder_tree.create ?origin ?horizon ~instrument:inst ~k monoid
+                in
+                let skipped = ref 0 in
+                Seq.iter
+                  (fun (iv, v) ->
+                    match Korder_tree.insert t iv v with
+                    | () -> ()
+                    | exception Korder_tree.Order_violation _ -> incr skipped)
+                  (data ());
+                let timeline = Korder_tree.finish t in
+                if !skipped > 0 then
+                  note ~stage:(name alg) ~reason:"input not k-ordered"
+                    ~action:
+                      (Printf.sprintf "skipped %d misordered tuples" !skipped);
+                timeline)
+        | Parallel { domains; inner }, (Fallback | Skip) ->
+            let state_monoid = { monoid with Monoid.output = Fun.id } in
+            let fallback_shard ~shard ~exn ~instrument shard_data =
+              let fb = shard_fallback_algorithm exn in
+              note
+                ~stage:(Printf.sprintf "%s shard %d" (name inner) shard)
+                ~reason:(reason_of_exn exn)
+                ~action:(Printf.sprintf "re-evaluated inline with %s" (name fb));
+              eval ?origin ?horizon ?instrument fb state_monoid shard_data
+            in
+            traced (fun () ->
+                Parallel.eval ~instrument:inst ~fallback_shard
+                  ?offsets:shard_offsets ~domains
+                  ~eval_shard:(fun ~instrument shard ->
+                    eval ?origin ?horizon ?instrument inner state_monoid shard)
+                  monoid (data ()))
+        | _ ->
+            eval ?origin ?horizon ~instrument:inst ?shard_offsets alg monoid
+              (data ())
+      in
+      if not (Obs.Trace.recording ()) then body ()
+      else
+        Obs.Trace.with_span ~attrs:[ ("algorithm", name alg) ] "attempt"
+          (fun () ->
+            match body () with
+            | timeline ->
+                Obs.Trace.annotate [ ("outcome", "ok") ];
+                timeline
+            | exception e ->
+                Obs.Trace.annotate [ ("outcome", reason_of_exn e) ];
+                raise e)
+    in
+    let error_of_exn = function
+      | Korder_tree.Order_violation { position; _ } ->
+          Not_k_ordered { position }
+      | Guard.Budget_exceeded { budget_bytes; used_bytes } ->
+          Budget_exhausted { budget_bytes; used_bytes }
+      | Guard.Deadline_exceeded { deadline_ms; elapsed_ms } ->
+          Deadline_exhausted { deadline_ms; elapsed_ms }
+      | Invalid_argument msg -> Eval_failed msg
+      | e -> raise e
+    in
+    let rec go alg =
+      match attempt alg with
+      | timeline -> Ok (timeline, List.rev !degradations)
+      | exception e -> (
+          match (on_error, fallback_step e alg) with
+          | (Fallback | Skip), Some alg' ->
+              note ~stage:(name alg) ~reason:(reason_of_exn e)
+                ~action:("retrying with " ^ name alg');
+              go alg'
+          | _ -> Error (error_of_exn e))
+    in
+    go algorithm
   in
   if Obs.Trace.recording () then
     Obs.Trace.with_span

@@ -43,7 +43,10 @@ val eval :
   ('v, 's, 'r) Monoid.t ->
   (Interval.t * 'v) Seq.t ->
   'r Timeline.t
-(** Run the chosen algorithm.
+(** Run the chosen algorithm.  While tracing records, the run is an
+    ["eval"] span that, on exit (a raise included), carries the
+    instrument's [allocated_nodes] and [peak_bytes]; one is made when
+    [instrument] is absent, as every algorithm would.
 
     [shard_offsets] (meaningful only when [algorithm] is [Parallel _])
     pins the outermost parallel level's shard boundaries to explicit
@@ -61,6 +64,13 @@ val eval_with_stats :
   ('v, 's, 'r) Monoid.t ->
   (Interval.t * 'v) Seq.t ->
   'r Timeline.t * Instrument.snapshot
+
+val snapshot_of_spans : Obs.Trace.span list -> Instrument.snapshot
+(** The engine figures of a traced run, folded from the ["eval"] spans
+    among [spans] that sit in no other ["eval"] or ["shard"] span (the
+    enclosing instrument already absorbed those): allocations add up,
+    the largest [peak_bytes] wins, and [peak_live] is that peak over its
+    own algorithm's {!node_bytes}.  All zero when no eval was recorded. *)
 
 (** {1 Robust evaluation}
 
@@ -115,7 +125,6 @@ val eval_robust :
   ?on_error:on_error ->
   ?memory_budget:int ->
   ?deadline_ms:float ->
-  ?profile:Obs.Profile.t ->
   ?shard_offsets:int array ->
   algorithm ->
   ('v, 's, 'r) Monoid.t ->
@@ -136,8 +145,8 @@ val eval_robust :
     across the concurrent shards ({!Guard.split}), since their live
     bytes accumulate at the same time.
 
-    When [profile] is given, every attempt — including ones a fallback
-    aborted — is recorded into it with its instrument snapshot, along
-    with input size, degradations and materialize/evaluate phase times.
-    Profiling forces per-attempt instrumentation even without budgets,
-    so it costs what [eval_with_stats] costs. *)
+    While tracing records, the run is one ["eval-robust"] span carrying
+    the input count (the materialization runs inside it), with one
+    ["attempt"] span per attempt carrying its [outcome] (["ok"] or the
+    failure reason) and, under it, the attempt's ["eval"] span with its
+    [allocated_nodes] and [peak_bytes] — aborted attempts included. *)

@@ -111,8 +111,3 @@ let eval ?origin ?horizon ?instrument ~k monoid data =
   let t = create ?origin ?horizon ?instrument ~k monoid in
   insert_all t data;
   finish t
-
-let eval_with_stats ?origin ?horizon ~k monoid data =
-  let inst = Instrument.create () in
-  let timeline = eval ?origin ?horizon ~instrument:inst ~k monoid data in
-  (timeline, Instrument.snapshot inst)

@@ -123,8 +123,3 @@ let eval ?origin ?horizon ?instrument ?full_walk monoid data =
   let t = create ?origin ?horizon ?instrument ?full_walk monoid in
   insert_all t data;
   result t
-
-let eval_with_stats ?origin ?horizon monoid data =
-  let inst = Instrument.create () in
-  let timeline = eval ?origin ?horizon ~instrument:inst monoid data in
-  (timeline, Instrument.snapshot inst)

@@ -56,10 +56,3 @@ val eval :
   ('v, 's, 'r) Monoid.t ->
   (Interval.t * 'v) Seq.t ->
   'r Timeline.t
-
-val eval_with_stats :
-  ?origin:Chronon.t ->
-  ?horizon:Chronon.t ->
-  ('v, 's, 'r) Monoid.t ->
-  (Interval.t * 'v) Seq.t ->
-  'r Timeline.t * Instrument.snapshot

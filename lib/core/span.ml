@@ -61,7 +61,7 @@ let eval ?origin ?horizon ?algorithm ~granule monoid data =
 
 let eval_robust ?(origin = Chronon.origin) ?(horizon = Chronon.forever)
     ?(algorithm = Engine.Aggregation_tree) ?on_error ?memory_budget
-    ?deadline_ms ?profile ~granule monoid data =
+    ?deadline_ms ~granule monoid data =
   if Chronon.( > ) (granule : Granule.t).Granule.anchor origin then
     Error
       (Engine.Eval_failed "Span.eval: granule anchor after origin")
@@ -81,7 +81,7 @@ let eval_robust ?(origin = Chronon.origin) ?(horizon = Chronon.forever)
                (Timeline.to_list index_timeline)),
           degradations ))
       (Engine.eval_robust ~origin:index_origin ~horizon:index_horizon
-         ?on_error ?memory_budget ?deadline_ms ?profile algorithm monoid
+         ?on_error ?memory_budget ?deadline_ms algorithm monoid
          quantized)
 
 let eval_with_stats ?origin ?horizon ?algorithm ~granule monoid data =

@@ -44,7 +44,6 @@ val eval_robust :
   ?on_error:Engine.on_error ->
   ?memory_budget:int ->
   ?deadline_ms:float ->
-  ?profile:Obs.Profile.t ->
   granule:Granule.t ->
   ('v, 's, 'r) Monoid.t ->
   (Interval.t * 'v) Seq.t ->

@@ -224,8 +224,3 @@ let eval ?origin ?horizon ?instrument monoid data =
         if i + 1 < m then Chronon.of_int (starts.(i + 1) - 1) else horizon'
       in
       (Interval.make start stop, monoid.Monoid.output values.(i)))
-
-let eval_with_stats ?origin ?horizon monoid data =
-  let inst = Instrument.create () in
-  let timeline = eval ?origin ?horizon ~instrument:inst monoid data in
-  (timeline, Instrument.snapshot inst)

@@ -46,10 +46,3 @@ val eval :
 (** The input sequence is materialized internally; order is irrelevant.
     @raise Invalid_argument if an interval is not within
     [[origin, horizon]]. *)
-
-val eval_with_stats :
-  ?origin:Chronon.t ->
-  ?horizon:Chronon.t ->
-  ('v, 's, 'r) Monoid.t ->
-  (Interval.t * 'v) Seq.t ->
-  'r Timeline.t * Instrument.snapshot

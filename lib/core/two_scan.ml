@@ -90,8 +90,3 @@ let eval ?(origin = Chronon.origin) ?(horizon = Chronon.forever) ?instrument
   Timeline.of_list
     (Array.to_list
        (Array.map2 (fun iv st -> (iv, monoid.Monoid.output st)) spans states))
-
-let eval_with_stats ?origin ?horizon monoid data =
-  let inst = Instrument.create () in
-  let timeline = eval ?origin ?horizon ~instrument:inst monoid data in
-  (timeline, Instrument.snapshot inst)

@@ -27,13 +27,6 @@ val eval :
     @raise Invalid_argument if an interval is not within
     [[origin, horizon]]. *)
 
-val eval_with_stats :
-  ?origin:Chronon.t ->
-  ?horizon:Chronon.t ->
-  ('v, 's, 'r) Monoid.t ->
-  (Interval.t * 'v) Seq.t ->
-  'r Timeline.t * Instrument.snapshot
-
 val constant_intervals :
   ?origin:Chronon.t ->
   ?horizon:Chronon.t ->

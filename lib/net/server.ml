@@ -97,7 +97,6 @@ type completion = {
   c_trace : string;
   c_root : int;
   c_join : string option;
-  c_profile : Obs.Profile.t option;  (* the run's profile, with a slowlog *)
 }
 
 type conn = {
@@ -386,9 +385,6 @@ let execute t job =
   (* The queue wait ends the moment a worker picks the job up; the
      span was opened on the event loop at submit time. *)
   Obs.Trace.close_span job.j_queue;
-  (* Only a slowlog reads profiles: without one the statement stays on
-     the plain engine path. *)
-  let profile = Option.map (fun _ -> Obs.Profile.create ()) t.cfg.slowlog in
   let body () =
     match Protocol.sleep_request job.j_line with
     | Some ms ->
@@ -427,7 +423,7 @@ let execute t job =
             in
             match
               Tsql.Session.exec_statement ?memory_budget:t.cfg.memory_budget
-                ?deadline_ms ?on_error ?profile job.j_session stmt
+                ?deadline_ms ?on_error job.j_session stmt
             with
             | Ok outcome ->
                 let degraded =
@@ -471,7 +467,6 @@ let execute t job =
     c_trace = job.j_trace;
     c_root = job.j_root;
     c_join = join;
-    c_profile = profile;
   }
 
 let worker_loop t () =
@@ -617,17 +612,15 @@ let observe_completion t (c : completion) =
   Obs.Histogram.observe (m_latency t c.c_kind) (float_of_int c.c_elapsed_us);
   match t.cfg.slowlog with
   | Some log when slow ->
-      (* Only a query planned against a base relation fills a profile. *)
-      let detail =
-        match c.c_profile with
-        | Some p when (not c.c_error) && Obs.Profile.stats_source p <> None ->
-            Some (Obs.Profile.to_string p)
-        | _ -> None
-      in
-      let span_labels =
+      (* The entry's profile is this request's tree in the trace pinned
+         above (a client may reuse a trace id): which layer took the
+         time and, under "plan", why. *)
+      let detail, span_labels =
         match Obs.Recorder.find c.c_trace with
-        | Some p -> List.map (fun (s : Obs.Trace.span) -> s.label) p.p_spans
-        | None -> []
+        | Some p ->
+            ( Some (Obs.Trace.tree_to_string ~root:c.c_root p.p_spans),
+              List.map (fun (s : Obs.Trace.span) -> s.label) p.p_spans )
+        | None -> (None, [])
       in
       ignore
         (Obs.Slowlog.observe log ~kind:c.c_kind ~statement:c.c_statement

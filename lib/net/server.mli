@@ -94,10 +94,11 @@ type config = {
       (** Capture statements at or over its threshold (fed from the
           event loop; entries carry kind, statement, latency, the
           request id, the labels of the pinned trace's spans and — for
-          joins — the chosen strategy).  With a slowlog every statement
-          runs with an {!Obs.Profile}, so a slow SELECT against a base
-          relation carries the profile of its own run; without one no
-          profile is made.  The threshold doubles as the flight
+          joins — the chosen strategy).  Each entry's profile is its
+          pinned trace rendered as a span tree
+          ({!Obs.Trace.tree_to_string}), whatever the statement's kind:
+          the layer that took the time and, under [plan], the chosen
+          algorithm and why.  The threshold doubles as the flight
           recorder's "slow" pin trigger. *)
   recorder_out : string option;
       (** Where [SIGUSR1] (with [signals]) and the final drain write

@@ -1,7 +1,7 @@
 (* Slow-query capture: statements whose latency crosses the threshold
-   land in a bounded ring (newest evict oldest), with an optional
-   profile text and the labels of tracing spans recorded while the
-   statement ran.  The ring dumps as JSON an operator can read back —
+   land in a bounded ring (newest evict oldest), with the rendered
+   span tree of the statement's pinned trace and the labels of those
+   spans.  The ring dumps as JSON an operator can read back —
    each entry carries the statement text ready for EXPLAIN ANALYZE. *)
 
 type entry = {

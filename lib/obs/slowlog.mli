@@ -5,14 +5,17 @@
     entries at or above the threshold are kept (newest evict oldest,
     but {!hits} and {!worst} cover everything ever observed).  Each
     entry carries the statement text — ready to feed back to
-    [EXPLAIN ANALYZE] — plus an optional profile report and the labels
-    of tracing spans recorded while the statement ran. *)
+    [EXPLAIN ANALYZE] — plus the rendered span tree of its pinned
+    trace ({!Trace.tree_to_string}) and the labels of those spans. *)
 
 type entry = {
   statement : string;
   kind : string;  (** Statement kind, e.g. ["select"]. *)
   elapsed_ms : float;
-  detail : string option;  (** Profile report text, when captured. *)
+  detail : string option;
+      (** The statement's span tree, rendered from its pinned trace:
+          which layer took the time and, under [plan], why that plan
+          was chosen.  [None] when no spans were recorded. *)
   span_labels : string list;
       (** Labels of the statement's spans, from its pinned trace. *)
   join : string option;

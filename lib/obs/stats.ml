@@ -8,7 +8,6 @@ type outcome = {
   cardinality : int;
   algorithm : string;
   elapsed_ms : float;
-  peak_bytes : int;
   k_observed : int option;
       (* A k-ordering bound proven by the run itself (e.g. a k-ordered
          tree that completed without order violations on a plain scan). *)
@@ -33,7 +32,6 @@ type t = {
   mutable next : int;
   mutable total : int;
   mutable dec_ms : float;
-  mutable dec_peak : float;
   mutable dec_segments : float;
   mutable segment_obs : int;
   mutable last_cardinality : int;  (* -1 = unknown *)
@@ -57,7 +55,6 @@ let create ?(capacity = default_capacity) ?(alpha = default_alpha) () =
     next = 0;
     total = 0;
     dec_ms = 0.;
-    dec_peak = 0.;
     dec_segments = 0.;
     segment_obs = 0;
     last_cardinality = -1;
@@ -77,7 +74,6 @@ let record t o =
   t.filled <- Stdlib.min (t.filled + 1) t.capacity;
   t.total <- t.total + 1;
   t.dec_ms <- decay t t.dec_ms o.elapsed_ms;
-  t.dec_peak <- decay t t.dec_peak (float_of_int o.peak_bytes);
   (match o.segments with
   | Some s ->
       t.segment_obs <- t.segment_obs + 1;
@@ -117,7 +113,6 @@ type summary = {
   constant_intervals : int option;
   distinct_endpoints : int option;
   mean_eval_ms : float option;
-  peak_bytes : int option;
   source : string;
 }
 
@@ -131,7 +126,6 @@ let empty_summary =
     constant_intervals = None;
     distinct_endpoints = None;
     mean_eval_ms = None;
-    peak_bytes = None;
     source = "none";
   }
 
@@ -151,8 +145,6 @@ let summary t =
     distinct_endpoints =
       Option.map (fun a -> a.an_distinct_endpoints) t.analysis;
     mean_eval_ms = (if t.total > 0 then Some t.dec_ms else None);
-    peak_bytes =
-      (if t.total > 0 then Some (int_of_float t.dec_peak) else None);
     source =
       (match (analyzed, t.total > 0) with
       | true, true -> "analyze+runtime"

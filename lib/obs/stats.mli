@@ -3,7 +3,7 @@
 
     Each relation gets a bounded ring of per-query {!outcome} records
     (newest evict oldest) plus exponentially-decayed aggregates of
-    latency, peak memory and result size, and optionally the result of
+    latency and result size, and optionally the result of
     an eager [ANALYZE] scan ({!analysis}).  {!summary} condenses both
     into what the optimizer's observed path
     ([Optimizer.choose_observed]) consumes.
@@ -16,7 +16,6 @@ type outcome = {
   cardinality : int;  (** Input cardinality seen by the query. *)
   algorithm : string;
   elapsed_ms : float;
-  peak_bytes : int;  (** 0 when the run was not instrumented. *)
   k_observed : int option;
       (** A k-ordering bound the run itself proved (e.g. a k-ordered
           tree completing without order violations over a plain scan of
@@ -63,7 +62,6 @@ type summary = {
   constant_intervals : int option;  (** Decayed mean result size. *)
   distinct_endpoints : int option;
   mean_eval_ms : float option;
-  peak_bytes : int option;
   source : string;
       (** Provenance: ["none"], ["analyze"], ["runtime"] or
           ["analyze+runtime"]. *)

@@ -151,6 +151,10 @@ let buffer () =
   end;
   b
 
+let recorded_here () =
+  let b = buffer () in
+  b.ring_filled + b.ring_dropped
+
 let recording () = Atomic.get ring_capacity > 0
 let ring_capacity_now () = Atomic.get ring_capacity
 
@@ -165,6 +169,12 @@ let set_ring_capacity n =
    across domains because the opener and the closer need not be the
    same domain. *)
 let open_tbl : (int, span) Hashtbl.t = Hashtbl.create 64
+
+let annotate attrs =
+  if recording () then
+    match (buffer ()).stack with
+    | s :: _ -> s.attrs <- s.attrs @ attrs
+    | [] -> ()
 
 let current () =
   if not (recording ()) then None
@@ -277,6 +287,35 @@ let clear () =
       registry := [];
       Hashtbl.reset open_tbl);
   Atomic.incr epoch
+
+(* ---- Span tree ---- *)
+
+let tree_to_string ~root spans =
+  let spans = sort_spans spans in
+  let ids = Hashtbl.create 64 and children = Hashtbl.create 64 in
+  List.iter (fun s -> Hashtbl.replace ids s.id ()) spans;
+  (* Children in start order: [find_all] returns the latest added first. *)
+  List.iter
+    (fun s ->
+      match s.parent with
+      | Some p when Hashtbl.mem ids p -> Hashtbl.add children p s
+      | _ -> ())
+    (List.rev spans);
+  let attr (k, v) =
+    if String.contains v ' ' then Printf.sprintf " %s=\"%s\"" k v
+    else Printf.sprintf " %s=%s" k v
+  in
+  let buf = Buffer.create 1024 in
+  let rec line depth s =
+    Printf.bprintf buf "%9.3f ms  %s%s%s\n"
+      (float_of_int (s.stop_us - s.start_us) /. 1000.)
+      (String.make (2 * depth) ' ')
+      s.label
+      (String.concat "" (List.map attr s.attrs));
+    List.iter (line (depth + 1)) (Hashtbl.find_all children s.id)
+  in
+  List.iter (line 0) (List.filter (fun s -> s.id = root) spans);
+  Buffer.contents buf
 
 (* ---- Chrome trace_event export ---- *)
 

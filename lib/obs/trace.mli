@@ -77,6 +77,12 @@ val close_span : ?attrs:(string * string) list -> int -> unit
     recording it on the closing domain.  Unknown or [0] ids are
     ignored. *)
 
+val annotate : (string * string) list -> unit
+(** Append [attrs] to the innermost open span on this domain — for
+    figures known only once the span's work is done (an evaluation's
+    node counts, a plan's choice).  No-op when nothing records or no
+    span is open. *)
+
 val current : unit -> int option
 (** Id of the innermost open span on this domain, for handing to a
     child domain's [with_span ?parent].  [None] when nothing records. *)
@@ -95,8 +101,22 @@ val ring_stats : unit -> int * int
 (** [(occupancy, dropped)] summed over all domain rings: spans
     currently held, and spans overwritten since the last resize. *)
 
+val recorded_here : unit -> int
+(** Spans the calling domain has written to its ring since the ring was
+    last sized or cleared, overwritten ones included.  Across a run on
+    one domain, the rise beyond {!ring_capacity_now} is how many of the
+    run's own spans the ring has already overwritten. *)
+
 val clear : unit -> unit
 (** Drop recorded spans without changing the ring capacity. *)
+
+val tree_to_string : root:int -> span list -> string
+(** The one human-readable rendering of spans, used by EXPLAIN ANALYZE,
+    [query --profile] and slow-query log entries: one line per span,
+    [<ms> ms  <indent><label> key=value ...], children indented under
+    their parent in start order.  The duration is the span's
+    [stop_us - start_us].  Only [root] and its descendants are
+    rendered.  Values holding a space are double-quoted. *)
 
 val to_chrome_json : span list -> string
 (** Chrome [trace_event] JSON ([{"traceEvents": [...]}]): one complete

@@ -254,31 +254,14 @@ let read_page r index buf =
     raise (Corrupt_page { path = r.r_path; page = index })
   end
 
-let fetch_page ?pool r p =
-  match pool with
-  | None ->
-      let buf = Bytes.create r.r_page_size in
-      read_page r p buf;
-      buf
-  | Some pool -> (
-      let key = (r.r_path, p) in
-      match Buffer_pool.find pool key with
-      | Some page -> page
-      | None ->
-          let buf = Bytes.create r.r_page_size in
-          read_page r p buf;
-          (* Only a checksum-verified page enters the pool, so cached
-             pages are served without re-verification. *)
-          Buffer_pool.insert pool key buf;
-          buf)
-
-let scan ?pool ?(on_corrupt = `Fail) r =
+let scan ?(on_corrupt = `Fail) r =
   let rec page_seq p () =
     if r.r_closed then invalid_arg "Heap_file.scan: reader is closed";
     if p >= r.r_pages then Seq.Nil
     else begin
-      match fetch_page ?pool r p with
-      | buf ->
+      let buf = Bytes.create r.r_page_size in
+      match read_page r p buf with
+      | () ->
           let slots = Int32.to_int (Bytes.get_int32_le buf 0) in
           let tuples =
             List.init slots (fun i ->

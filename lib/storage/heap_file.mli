@@ -72,13 +72,9 @@ val data_pages : reader -> int
 val format_version : reader -> int
 (** 1 (no page trailers) or 2 (CRC-32 trailers). *)
 
-val scan : ?pool:Buffer_pool.t -> ?on_corrupt:[ `Fail | `Skip ] -> reader -> Tuple.t Seq.t
+val scan : ?on_corrupt:[ `Fail | `Skip ] -> reader -> Tuple.t Seq.t
 (** Sequential scan in physical order; pages are charged as they are
     pulled.  The sequence may be re-consumed (each traversal re-reads).
-    With [pool], cached pages are served without touching the disk or the
-    {!Io_stats} counters — how a second scan (e.g. Tuma's two-scan
-    algorithm) can come for free when the relation fits the pool; only
-    checksum-verified pages ever enter the pool.
 
     [on_corrupt] (default [`Fail]) decides what a checksum mismatch does:
     [`Fail] lets {!Corrupt_page} escape from the sequence; [`Skip] drops

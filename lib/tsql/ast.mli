@@ -106,7 +106,8 @@ type query = {
 type statement =
   | Select of query
   | Explain_analyze of query
-      (** Execute the query and report an {!Obs.Profile} instead of rows. *)
+      (** Execute the query and report how it ran ({!Eval.analyze})
+          instead of rows. *)
   | Create_view of { name : string; definition : query }
   | Refresh_view of string
   | Drop_view of string

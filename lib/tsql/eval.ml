@@ -47,18 +47,17 @@ let data_for tuples (spec : Semant.agg_spec) =
     tuples;
   contents out
 
-(* Mutable context for one guarded run ([execute]'s robust path): the
-   budgets to enforce, the profile to fill, and the degradation events
-   accumulated across every per-aggregate, per-group engine evaluation. *)
+(* Mutable context for one guarded run ([evaluate]'s robust path): the
+   budgets to enforce and the degradation events accumulated across
+   every per-aggregate, per-group engine evaluation. *)
 type robust_ctx = {
   memory_budget : int option;
   deadline_ms : float option;
   mutable events : Tempagg.Engine.degradation list;
-  profile : Obs.Profile.t option;
 }
 
 (* Carries a structured engine error out of the evaluation loops;
-   intercepted in [execute], never escapes this module. *)
+   intercepted in [evaluate], never escapes this module. *)
 exception Robust_error of Tempagg.Engine.error
 
 let run_engine ?robust ?shard_offsets (plan : Semant.plan) monoid data =
@@ -83,13 +82,12 @@ let run_engine ?robust ?shard_offsets (plan : Semant.plan) monoid data =
             Tempagg.Span.eval_robust ~origin ~horizon
               ~algorithm:plan.Semant.algorithm ~on_error:plan.Semant.on_error
               ?memory_budget:ctx.memory_budget ?deadline_ms:ctx.deadline_ms
-              ?profile:ctx.profile ~granule monoid data
+              ~granule monoid data
         | None ->
             Tempagg.Engine.eval_robust ~origin ~horizon
               ~on_error:plan.Semant.on_error
               ?memory_budget:ctx.memory_budget ?deadline_ms:ctx.deadline_ms
-              ?profile:ctx.profile ?shard_offsets plan.Semant.algorithm monoid
-              data
+              ?shard_offsets plan.Semant.algorithm monoid data
       in
       match result with
       | Ok (timeline, degradations) ->
@@ -232,8 +230,11 @@ let clip_to hull tl =
    when unpartitioned, else each shard whose span meets the window, by
    index — and push every tuple that passes [keep], clipped to the
    window, into one array in physical order.  Pruned shards are never
-   touched.  Also returns where each kept slice ends in that array. *)
+   touched.  Also returns where each kept slice ends in that array.
+   Runs as a "scan" span carrying the slices visited and the tuples
+   kept. *)
 let scan ~keep ~window ~(layout : Semant.shard list) relation =
+  Obs.Trace.with_span "scan" @@ fun () ->
   let slices =
     match layout with
     | [] -> [ (0, Trel.cardinality relation) ]
@@ -269,6 +270,12 @@ let scan ~keep ~window ~(layout : Semant.shard list) relation =
       done;
       ends.(k) <- out.length)
     slices;
+  if Obs.Trace.recording () then
+    Obs.Trace.annotate
+      [
+        ("shards", string_of_int (List.length slices));
+        ("tuples", string_of_int out.length);
+      ];
   (contents out, ends)
 
 (* One join side: its kept slices, clipped to the window.  No WHERE
@@ -314,69 +321,59 @@ let joined_tuples ?robust (plan : Semant.plan) (j : Semant.join_spec) =
         Obs.Trace.with_span (span_label j.Semant.strategy) (fun () ->
             execute j.Semant.strategy);
         j.Semant.strategy
-    | Some ctx ->
-        let run_join () =
-          let guard =
-            Tempagg.Guard.create ?memory_budget:ctx.memory_budget
-              ?deadline_ms:ctx.deadline_ms ()
-          in
-          let attempt strategy =
-            let instrument = Tempagg.Instrument.create () in
-            Tempagg.Guard.attach guard instrument;
-            Obs.Trace.with_span (span_label strategy) (fun () ->
-                execute ~guard ~instrument strategy)
-          in
-          try
-            attempt j.Semant.strategy;
-            j.Semant.strategy
-          with
-          | Tempagg.Guard.Deadline_exceeded { deadline_ms; elapsed_ms } ->
-              raise
-                (Robust_error
-                   (Tempagg.Engine.Deadline_exhausted { deadline_ms; elapsed_ms }))
-          | Tempagg.Guard.Budget_exceeded { budget_bytes; used_bytes } as e -> (
-              match (plan.Semant.on_error, j.Semant.strategy) with
-              | (Tempagg.Engine.Fallback | Tempagg.Engine.Skip), Join.Engine.Sweep
-                -> (
-                  let d =
-                    {
-                      Tempagg.Engine.stage = span_label Join.Engine.Sweep;
-                      reason =
-                        Option.value (Tempagg.Guard.describe e)
-                          ~default:"memory budget exceeded";
-                      action = "retried as nested-loop-join (no live state)";
-                    }
-                  in
-                  ctx.events <- ctx.events @ [ d ];
-                  Option.iter
-                    (fun p ->
-                      Obs.Profile.note_degradation p
-                        (Tempagg.Engine.degradation_to_string d))
-                    ctx.profile;
-                  Join.Telemetry.record_fallback ();
-                  (* Same guard: the deadline keeps counting across the
-                     retry; the nested loop allocates nothing, so the
-                     budget cannot trip again. *)
-                  try
-                    Obs.Trace.with_span (span_label Join.Engine.Nested_loop)
-                      (fun () -> execute ~guard Join.Engine.Nested_loop);
-                    Join.Engine.Nested_loop
-                  with
-                  | Tempagg.Guard.Deadline_exceeded { deadline_ms; elapsed_ms }
-                    ->
-                      raise
-                        (Robust_error
-                           (Tempagg.Engine.Deadline_exhausted
-                              { deadline_ms; elapsed_ms })))
-              | _ ->
-                  raise
-                    (Robust_error
-                       (Tempagg.Engine.Budget_exhausted
-                          { budget_bytes; used_bytes })))
+    | Some ctx -> (
+        let guard =
+          Tempagg.Guard.create ?memory_budget:ctx.memory_budget
+            ?deadline_ms:ctx.deadline_ms ()
         in
-        (match ctx.profile with
-        | Some p -> Obs.Profile.time_phase p "join" run_join
-        | None -> run_join ())
+        let attempt strategy =
+          let instrument = Tempagg.Instrument.create () in
+          Tempagg.Guard.attach guard instrument;
+          Obs.Trace.with_span (span_label strategy) (fun () ->
+              execute ~guard ~instrument strategy)
+        in
+        try
+          attempt j.Semant.strategy;
+          j.Semant.strategy
+        with
+        | Tempagg.Guard.Deadline_exceeded { deadline_ms; elapsed_ms } ->
+            raise
+              (Robust_error
+                 (Tempagg.Engine.Deadline_exhausted { deadline_ms; elapsed_ms }))
+        | Tempagg.Guard.Budget_exceeded { budget_bytes; used_bytes } as e -> (
+            match (plan.Semant.on_error, j.Semant.strategy) with
+            | (Tempagg.Engine.Fallback | Tempagg.Engine.Skip), Join.Engine.Sweep
+              -> (
+                let d =
+                  {
+                    Tempagg.Engine.stage = span_label Join.Engine.Sweep;
+                    reason =
+                      Option.value (Tempagg.Guard.describe e)
+                        ~default:"memory budget exceeded";
+                    action = "retried as nested-loop-join (no live state)";
+                  }
+                in
+                ctx.events <- ctx.events @ [ d ];
+                Join.Telemetry.record_fallback ();
+                (* Same guard: the deadline keeps counting across the
+                   retry; the nested loop allocates nothing, so the
+                   budget cannot trip again. *)
+                try
+                  Obs.Trace.with_span (span_label Join.Engine.Nested_loop)
+                    (fun () -> execute ~guard Join.Engine.Nested_loop);
+                  Join.Engine.Nested_loop
+                with
+                | Tempagg.Guard.Deadline_exceeded { deadline_ms; elapsed_ms }
+                  ->
+                    raise
+                      (Robust_error
+                         (Tempagg.Engine.Deadline_exhausted
+                            { deadline_ms; elapsed_ms })))
+            | _ ->
+                raise
+                  (Robust_error
+                     (Tempagg.Engine.Budget_exhausted
+                        { budget_bytes; used_bytes }))))
   in
   Join.Telemetry.record ~strategy:used ~pairs:!pairs.length;
   ( Array.map
@@ -473,8 +470,6 @@ let run_aux ?robust (plan : Semant.plan) =
   in
   (Trel.create plan.Semant.out_schema rows, join_used)
 
-let run plan = fst (run_aux plan)
-
 let ( let* ) = Result.bind
 
 let ms_since t0_us = float_of_int (Obs.Trace.now_us () - t0_us) /. 1000.
@@ -532,37 +527,29 @@ let apply_overrides ?algorithm ?domains ?on_error ?join_strategy plan =
       }
   | _ -> plan
 
-(* The k the optimizer (or an override) settled on, when a k-ordered
-   tree is anywhere in the plan. *)
-let rec k_of = function
-  | Tempagg.Engine.Korder_tree { k } -> Some k
-  | Tempagg.Engine.Parallel { inner; _ } -> k_of inner
-  | _ -> None
-
 let plan ?(adaptive = true) ?algorithm ?domains ?on_error ?join_strategy
-    ?profile catalog ast =
-  let t0_us = Obs.Trace.now_us () in
+    catalog ast =
+  Obs.Trace.with_span "plan" @@ fun () ->
   let* planned = Semant.analyze ~adaptive catalog ast in
   let planned =
     apply_overrides ?algorithm ?domains ?on_error ?join_strategy planned
   in
-  Option.iter
-    (fun p ->
-      Obs.Profile.set_query p (Ast.to_string ast);
-      Obs.Profile.set_plan p
-        ~algorithm:(Tempagg.Engine.name planned.Semant.algorithm)
-        ~rationale:planned.Semant.rationale;
-      Obs.Profile.set_stats_source p planned.Semant.stats_source;
-      Option.iter
-        (fun (j : Semant.join_spec) ->
-          Obs.Profile.set_join p
-            ~strategy:(Join.Engine.strategy_to_string j.Semant.strategy)
-            ~rationale:j.Semant.join_rationale
-            ~stats_source:j.Semant.join_stats_source)
-        planned.Semant.join;
-      Option.iter (Obs.Profile.set_k_estimate p) (k_of planned.Semant.algorithm);
-      Obs.Profile.add_phase p "plan" (ms_since t0_us))
-    profile;
+  (* The choice and the strings the plan already holds for it, so a
+     trace says why this plan ran. *)
+  if Obs.Trace.recording () then
+    Obs.Trace.annotate
+      (("algorithm", Tempagg.Engine.name planned.Semant.algorithm)
+       :: ("rationale", planned.Semant.rationale)
+       :: ("stats", planned.Semant.stats_source)
+       ::
+       (match planned.Semant.join with
+       | None -> []
+       | Some j ->
+           [
+             ("join", Join.Engine.strategy_to_string j.Semant.strategy);
+             ("join_rationale", j.Semant.join_rationale);
+             ("join_stats", j.Semant.join_stats_source);
+           ]));
   Ok planned
 
 (* Harvest one outcome record into the statistics store after a
@@ -574,8 +561,8 @@ let plan ?(adaptive = true) ?algorithm ?domains ?on_error ?join_strategy
    parallel shard whose per-shard success says nothing globally) and
    every aggregate consumed every tuple (a column aggregate skips SQL
    NULLs, and a subsequence can be *worse*-ordered than its source). *)
-let record_outcome ?profile catalog (plan : Semant.plan) ~elapsed_ms
-    ~degradations result =
+let record_outcome catalog (plan : Semant.plan) ~elapsed_ms ~degradations
+    result =
   let bare_korder = function
     | Tempagg.Engine.Korder_tree { k } -> Some k
     | _ -> None
@@ -599,8 +586,6 @@ let record_outcome ?profile catalog (plan : Semant.plan) ~elapsed_ms
       Obs.Stats.cardinality = Trel.cardinality plan.Semant.relation;
       algorithm = Tempagg.Engine.name plan.Semant.algorithm;
       elapsed_ms;
-      peak_bytes =
-        (match profile with Some p -> Obs.Profile.peak_bytes p | None -> 0);
       k_observed;
       segments;
       degradations;
@@ -612,40 +597,37 @@ type report = {
   join : Join.Engine.strategy option;
 }
 
-let execute ?memory_budget ?deadline_ms ?profile catalog (plan : Semant.plan) =
-  let t0_us = Obs.Trace.now_us () in
-  (* The one choice of engine path: a FAIL plan with nothing to enforce
-     or record runs on [Engine.eval]; a budget, a deadline, a profile or
-     a recovery policy sends every evaluation through
-     [Engine.eval_robust], which walks that policy. *)
+(* Evaluate [plan] on the one engine path both [execute] and [run] take:
+   a FAIL plan with nothing to enforce runs on [Engine.eval]; a budget,
+   a deadline or a recovery policy sends every evaluation through
+   [Engine.eval_robust], which walks that policy. *)
+let evaluate ?memory_budget ?deadline_ms (plan : Semant.plan) =
   let robust =
-    match (memory_budget, deadline_ms, profile, plan.Semant.on_error) with
-    | None, None, None, Tempagg.Engine.Fail -> None
-    | _ -> Some { memory_budget; deadline_ms; events = []; profile }
+    match (memory_budget, deadline_ms, plan.Semant.on_error) with
+    | None, None, Tempagg.Engine.Fail -> None
+    | _ -> Some { memory_budget; deadline_ms; events = [] }
   in
   let failed e =
     Error ("evaluation failed: " ^ Tempagg.Engine.error_to_string e)
   in
   match run_aux ?robust plan with
   | result, join ->
-      let elapsed_ms = ms_since t0_us in
       let degradations = match robust with Some c -> c.events | None -> [] in
-      Option.iter
-        (fun p ->
-          Obs.Profile.set_segments p (Trel.cardinality result);
-          (* The total covers the planning that [plan] timed, too. *)
-          Obs.Profile.set_total_ms p
-            (Option.value ~default:0.
-               (List.assoc_opt "plan" (Obs.Profile.phases p))
-            +. elapsed_ms))
-        profile;
-      record_outcome ?profile catalog plan ~elapsed_ms
-        ~degradations:(List.length degradations) result;
       Ok { result; degradations; join }
   | exception Robust_error e -> failed e
   | exception Tempagg.Korder_tree.Order_violation { position; _ } ->
       failed (Tempagg.Engine.Not_k_ordered { position })
   | exception Invalid_argument msg -> failed (Tempagg.Engine.Eval_failed msg)
+
+let run plan =
+  match evaluate plan with Ok r -> r.result | Error msg -> failwith msg
+
+let execute ?memory_budget ?deadline_ms catalog (plan : Semant.plan) =
+  let t0_us = Obs.Trace.now_us () in
+  let* report = evaluate ?memory_budget ?deadline_ms plan in
+  record_outcome catalog plan ~elapsed_ms:(ms_since t0_us)
+    ~degradations:(List.length report.degradations) report.result;
+  Ok report
 
 (* Parse a query's text and plan it: the front half of [query] and
    [explain]. *)
@@ -659,11 +641,7 @@ let query ?adaptive ?algorithm ?domains ?join_strategy catalog text =
   let* report = execute catalog plan in
   Ok report.result
 
-let explain ?adaptive ?algorithm ?domains ?on_error ?join_strategy catalog
-    text =
-  let* plan =
-    plan_text ?adaptive ?algorithm ?domains ?on_error ?join_strategy catalog text
-  in
+let describe (plan : Semant.plan) =
   let join_scan =
     match plan.Semant.join with
     | None -> ""
@@ -694,40 +672,101 @@ let explain ?adaptive ?algorithm ?domains ?on_error ?join_strategy catalog
         Printf.sprintf "by span of %d instants"
           (g : Granule.t).Granule.length
   in
-  Ok
-    (Printf.sprintf
-       "scan %s (%d tuples)%s%s%s; aggregate %s grouped %s%s using %s%s\n\
-       \  why: %s"
-       plan.Semant.source_name
-       (Trel.cardinality plan.Semant.relation)
-       ((match plan.Semant.window with
-        | Some w -> Printf.sprintf " during %s" (Interval.to_string w)
-        | None -> "")
-       ^
-       match plan.Semant.shard_layout with
-       | [] -> ""
-       | layout ->
-           Printf.sprintf " [%d shard(s): %d scanned, %d pruned]"
-             (List.length layout) plan.Semant.scanned_shards
-             plan.Semant.pruned_shards)
-       join_scan
-       (if plan.Semant.sort_first then ", sort by time" else "")
-       (String.concat ", "
-          (List.map
-             (fun (s : Semant.agg_spec) -> s.Semant.out_name)
-             plan.Semant.aggregates))
-       grouping
-       (match plan.Semant.group_columns with
-       | [] -> ""
-       | cols ->
-           Printf.sprintf " and by (%s)"
-             (String.concat ", " (List.map fst cols)))
-       (Tempagg.Engine.name plan.Semant.algorithm)
-       (match plan.Semant.on_error with
-       | Tempagg.Engine.Fail -> ""
-       | p ->
-           Printf.sprintf " (on error: %s)"
-             (Tempagg.Engine.on_error_to_string p))
-       plan.Semant.rationale
-     ^ join_why
-     ^ Printf.sprintf "\n  stats: %s" plan.Semant.stats_source)
+  Printf.sprintf
+    "scan %s (%d tuples)%s%s%s; aggregate %s grouped %s%s using %s%s\n\
+    \  why: %s"
+    plan.Semant.source_name
+    (Trel.cardinality plan.Semant.relation)
+    ((match plan.Semant.window with
+     | Some w -> Printf.sprintf " during %s" (Interval.to_string w)
+     | None -> "")
+    ^
+    match plan.Semant.shard_layout with
+    | [] -> ""
+    | layout ->
+        Printf.sprintf " [%d shard(s): %d scanned, %d pruned]"
+          (List.length layout) plan.Semant.scanned_shards
+          plan.Semant.pruned_shards)
+    join_scan
+    (if plan.Semant.sort_first then ", sort by time" else "")
+    (String.concat ", "
+       (List.map
+          (fun (s : Semant.agg_spec) -> s.Semant.out_name)
+          plan.Semant.aggregates))
+    grouping
+    (match plan.Semant.group_columns with
+    | [] -> ""
+    | cols ->
+        Printf.sprintf " and by (%s)" (String.concat ", " (List.map fst cols)))
+    (Tempagg.Engine.name plan.Semant.algorithm)
+    (match plan.Semant.on_error with
+    | Tempagg.Engine.Fail -> ""
+    | p ->
+        Printf.sprintf " (on error: %s)" (Tempagg.Engine.on_error_to_string p))
+    plan.Semant.rationale
+  ^ join_why
+  ^ Printf.sprintf "\n  stats: %s" plan.Semant.stats_source
+
+let explain ?adaptive ?algorithm ?domains ?on_error ?join_strategy catalog
+    text =
+  let* plan =
+    plan_text ?adaptive ?algorithm ?domains ?on_error ?join_strategy catalog text
+  in
+  Ok (describe plan)
+
+(* Trace ids for profiled statements that no request encloses. *)
+let analyses = Atomic.make 0
+
+let analyze run =
+  (* The statement's own span, and the trace to find its descendants
+     under once it has closed. *)
+  let root = ref None in
+  let trace =
+    match Obs.Trace.current () with
+    | Some _ -> None
+    | None -> Some (Printf.sprintf "analyze-%d" (Atomic.fetch_and_add analyses 1))
+  in
+  (* A run that records more spans on this domain than its ring holds
+     overwrites its own earliest ones; the report then says how many. *)
+  let recorded_before = Obs.Trace.recorded_here () in
+  let* plan, report =
+    Obs.Trace.with_span ?trace "explain-analyze" (fun () ->
+        root :=
+          Option.map
+            (fun id -> (id, Obs.Trace.current_trace ()))
+            (Obs.Trace.current ());
+        run ())
+  in
+  let buf = Buffer.create 1024 in
+  Printf.bprintf buf "%s\n" (describe plan);
+  let total =
+    match !root with
+    | None -> None
+    | Some (id, trace) -> (
+        let spans = Obs.Trace.recorded ~trace () in
+        match List.find_opt (fun (s : Obs.Trace.span) -> s.id = id) spans with
+        | None -> None
+        | Some s ->
+            Printf.bprintf buf "spans:\n%s"
+              (Obs.Trace.tree_to_string ~root:id spans);
+            Some (s.stop_us - s.start_us))
+  in
+  if total = None then Buffer.add_string buf "spans: none recorded\n";
+  let dropped =
+    Obs.Trace.recorded_here () - recorded_before
+    - Obs.Trace.ring_capacity_now ()
+  in
+  if dropped > 0 then
+    Printf.bprintf buf "spans: %d dropped (ring full)\n" dropped;
+  if report.degradations <> [] then begin
+    Buffer.add_string buf "degradations:\n";
+    List.iter
+      (fun d ->
+        Printf.bprintf buf "  - %s\n" (Tempagg.Engine.degradation_to_string d))
+      report.degradations
+  end;
+  Printf.bprintf buf "output: %d segment(s)\n" (Trel.cardinality report.result);
+  Option.iter
+    (fun us -> Printf.bprintf buf "total: %.3f ms\n" (float_of_int us /. 1000.))
+    total;
+  Ok (report, Buffer.contents buf)

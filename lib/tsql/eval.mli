@@ -16,7 +16,8 @@
     Two entry points carry every query: {!plan} turns a parsed query
     into an executable plan, and {!execute} evaluates a plan and records
     its outcome.  {!query} and {!explain} are their text-taking
-    wrappers. *)
+    wrappers, and {!analyze} renders one planned-and-executed statement
+    as an EXPLAIN ANALYZE report. *)
 
 val plan :
   ?adaptive:bool ->
@@ -24,7 +25,6 @@ val plan :
   ?domains:int ->
   ?on_error:Tempagg.Engine.on_error ->
   ?join_strategy:Join.Engine.strategy ->
-  ?profile:Obs.Profile.t ->
   Catalog.t ->
   Ast.query ->
   (Semant.plan, string) result
@@ -35,10 +35,10 @@ val plan :
     wraps it in {!Tempagg.Engine.Parallel} over that many OCaml domains
     ([--domains]); [?on_error] replaces the recovery policy
     ([--on-error]); [?join_strategy] pins the interval-join strategy
-    ([--join-strategy]; ignored for join-free queries).  [?profile]
-    receives the query text, the chosen plan (algorithm, rationale,
-    statistics source, join strategy, k estimate) and the planning time
-    as its ["plan"] phase. *)
+    ([--join-strategy]; ignored for join-free queries).  Runs as a
+    ["plan"] span carrying the chosen [algorithm], its [rationale] and
+    [stats] source, and for a join its strategy, rationale and stats
+    source. *)
 
 type report = {
   result : Relation.Trel.t;
@@ -55,32 +55,29 @@ type report = {
 val execute :
   ?memory_budget:int ->
   ?deadline_ms:float ->
-  ?profile:Obs.Profile.t ->
   Catalog.t ->
   Semant.plan ->
   (report, string) result
 (** Evaluate a plan and feed its outcome into the catalog's statistics
     store ({!record_outcome}).  The engine path is chosen here and
-    nowhere else: a plan whose recovery policy is [Fail], run without a
-    budget, a deadline or a profile, goes through
+    for {!run} too: a plan whose recovery policy is [Fail], run without a
+    budget or a deadline, goes through
     {!Tempagg.Engine.eval}; anything else goes through
     {!Tempagg.Engine.eval_robust}.  There, budgets and deadlines are
     enforced, failures walk the plan's recovery policy (its [ON ERROR]
     clause, an [?on_error] given to {!plan}, or the optimizer's
     recommendation), and every degradation is reported — never applied
-    silently.  [?profile] records every attempt (aborted ones included),
-    degradations, phase timings and the output size; profiling forces
-    instrumentation, so the run costs what
-    {!Tempagg.Engine.eval_with_stats} costs, but it never changes the
-    answer.  [Error _] is ["evaluation failed: "] followed by
-    {!Tempagg.Engine.error_to_string}'s rendering. *)
+    silently.  The relation read runs as a ["scan"] span carrying the
+    storage slices visited ([shards], 1 for an unpartitioned relation)
+    and the [tuples] kept.  [Error _] is ["evaluation failed: "]
+    followed by {!Tempagg.Engine.error_to_string}'s rendering. *)
 
 val run : Semant.plan -> Relation.Trel.t
-(** Evaluate a plan on the plain engine path ({!Tempagg.Engine.eval},
-    whatever its recovery policy) without recording the outcome — for
-    callers that time the evaluation alone.
-    @raise Tempagg.Korder_tree.Order_violation when a k-ordered tree
-    meets input that is not k-ordered. *)
+(** Evaluate a plan on {!execute}'s engine path without budgets and
+    without recording the outcome — for callers that time the
+    evaluation alone.
+    @raise Failure with {!execute}'s error text when the evaluation
+    fails (a FAIL plan over input its k-ordered tree cannot take). *)
 
 type value_monoid =
   | Value_monoid : (Relation.Value.t, 's, Relation.Value.t) Tempagg.Monoid.t -> value_monoid
@@ -111,7 +108,6 @@ val query :
     pipeline, answering with the result relation. *)
 
 val record_outcome :
-  ?profile:Obs.Profile.t ->
   Catalog.t ->
   Semant.plan ->
   elapsed_ms:float ->
@@ -119,7 +115,7 @@ val record_outcome :
   Relation.Trel.t ->
   unit
 (** Feed one successful run into the catalog's statistics store: input
-    cardinality, algorithm, latency, peak bytes (when profiled), and —
+    cardinality, algorithm, latency, and —
     only for a plain scan — the result's constant-interval count and
     any k bound the run proved (a bare k-ordered tree completing with
     every aggregate consuming every tuple).  {!execute} calls this
@@ -134,8 +130,28 @@ val explain :
   Catalog.t ->
   string ->
   (string, string) result
-(** Parse and {!plan} only; describe the chosen strategy (algorithm,
+(** Parse and {!plan} only, then {!describe} the plan without running
+    it.  Takes the same overrides as {!plan} so [explain] shows exactly
+    what {!execute} would run. *)
+
+val describe : Semant.plan -> string
+(** The plan text EXPLAIN prints: the chosen strategy (algorithm,
     sorting, grouping, join strategy and rationale for join queries,
-    recovery policy when not [fail]) without running the query.  Takes
-    the same overrides as {!plan} so [explain] shows exactly what
-    {!execute} would run. *)
+    recovery policy when not [fail]), then its [why:] and [stats:]
+    lines. *)
+
+val analyze :
+  (unit -> (Semant.plan * report, string) result) ->
+  (report * string, string) result
+(** [analyze run] runs [run] — one statement's {!plan} and {!execute} —
+    inside an ["explain-analyze"] span, opened with a fresh trace id when
+    no span encloses the call, and renders the EXPLAIN ANALYZE report
+    from what that run recorded: {!describe}'s plan text, the tree of
+    the spans the statement opened ({!Obs.Trace.tree_to_string}: the
+    [plan] and [scan] spans, every engine [attempt] with its [outcome]
+    and every [eval] with its [allocated_nodes] and [peak_bytes]), the
+    degradations, [output: <n> segment(s)] and [total:], the span's own
+    duration.  With tracing off the report says no spans were recorded
+    and has no [total:]; when the ring overwrote spans during the run, a
+    [spans: <n> dropped (ring full)] line says the tree may be missing
+    some. *)

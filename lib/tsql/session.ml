@@ -603,11 +603,10 @@ let select_view t v (q : Ast.query) =
         Ok (Rows rel)
 
 (* A query against a base relation: planned once, against one catalog,
-   and evaluated once.  [?profile] is filled by both halves. *)
-let select_base ?memory_budget ?deadline_ms ?on_error ?profile t
-    (q : Ast.query) =
+   and evaluated once. *)
+let select_base ?memory_budget ?deadline_ms ?on_error t (q : Ast.query) =
   let cat = catalog t in
-  let* plan = Eval.plan ~adaptive:t.adaptive ?on_error ?profile cat q in
+  let* plan = Eval.plan ~adaptive:t.adaptive ?on_error cat q in
   (if plan.Semant.shard_layout <> [] then
      match Hashtbl.find_opt t.bases (fold q.Ast.from) with
      | Some { part = Some p; _ } ->
@@ -626,7 +625,7 @@ let select_base ?memory_budget ?deadline_ms ?on_error ?profile t
   | _ -> ());
   let planned = Option.map (fun j -> j.Semant.strategy) plan.Semant.join in
   t.last_join <- Option.map Join.Engine.strategy_to_string planned;
-  let* report = Eval.execute ?memory_budget ?deadline_ms ?profile cat plan in
+  let* report = Eval.execute ?memory_budget ?deadline_ms cat plan in
   t.last_degradations <- List.length report.Eval.degradations;
   (* A join that ran another strategy than planned fell back to the
      nested loop; mark the recorded strategy so the slowlog can tell
@@ -639,19 +638,16 @@ let select_base ?memory_budget ?deadline_ms ?on_error ?profile t
              (Join.Engine.strategy_to_string chosen)
              (Join.Engine.strategy_to_string ran))
   | _ -> ());
-  Ok report.Eval.result
+  Ok (plan, report)
 
-let select ?memory_budget ?deadline_ms ?on_error ?profile t (q : Ast.query) =
+let select ?memory_budget ?deadline_ms ?on_error t (q : Ast.query) =
   match Hashtbl.find_opt t.views (fold q.Ast.from) with
   | Some v -> select_view t v q
   | None ->
-      let* rel =
-        select_base ?memory_budget ?deadline_ms ?on_error ?profile t q
-      in
-      Ok (Rows rel)
+      let* _, report = select_base ?memory_budget ?deadline_ms ?on_error t q in
+      Ok (Rows report.Eval.result)
 
-let explain_analyze ?memory_budget ?deadline_ms ?on_error ?profile t
-    (q : Ast.query) =
+let explain_analyze ?memory_budget ?deadline_ms ?on_error t (q : Ast.query) =
   match Hashtbl.find_opt t.views (fold q.Ast.from) with
   | Some v ->
       Error
@@ -661,11 +657,11 @@ let explain_analyze ?memory_budget ?deadline_ms ?on_error ?profile t
             evaluation)"
            v.vname)
   | None ->
-      let profile = Option.value profile ~default:(Obs.Profile.create ()) in
-      let* _ =
-        select_base ?memory_budget ?deadline_ms ?on_error ~profile t q
+      let* _, text =
+        Eval.analyze (fun () ->
+            select_base ?memory_budget ?deadline_ms ?on_error t q)
       in
-      Ok (Ack (Obs.Profile.to_string profile))
+      Ok (Ack text)
 
 (* ANALYZE: one pass over the relation in physical order, feeding the
    streaming k estimator and the distinct-endpoint sketch; the exact
@@ -835,13 +831,13 @@ let replace_base t name rel =
       end)
     t.views
 
-let exec_statement ?memory_budget ?deadline_ms ?on_error ?profile t stmt =
+let exec_statement ?memory_budget ?deadline_ms ?on_error t stmt =
   t.last_degradations <- 0;
   t.last_join <- None;
   match stmt with
-  | Ast.Select q -> select ?memory_budget ?deadline_ms ?on_error ?profile t q
+  | Ast.Select q -> select ?memory_budget ?deadline_ms ?on_error t q
   | Ast.Explain_analyze q ->
-      explain_analyze ?memory_budget ?deadline_ms ?on_error ?profile t q
+      explain_analyze ?memory_budget ?deadline_ms ?on_error t q
   | Ast.Analyze name -> analyze_relation t name
   | Ast.Show_stats -> show_stats t
   | Ast.Create_view { name; definition } -> create_view t name definition

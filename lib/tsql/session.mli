@@ -56,7 +56,6 @@ val exec_statement :
   ?memory_budget:int ->
   ?deadline_ms:float ->
   ?on_error:Tempagg.Engine.on_error ->
-  ?profile:Obs.Profile.t ->
   t ->
   Ast.statement ->
   (outcome, string) result
@@ -64,14 +63,14 @@ val exec_statement :
     base relation is planned once with {!Eval.plan} ([?on_error]
     replacing the query's own [ON ERROR] clause or the optimizer's
     recommendation) and evaluated once with {!Eval.execute}, which
-    picks the engine path: the guard budgets, a profile or a recovery
-    policy other than [fail] run it on the robust engine, so a blown
-    budget walks the fallback chain instead of failing outright and
-    {!last_degradations} reports how many recovery events occurred.
-    [?profile] is filled from that same run (EXPLAIN ANALYZE answers
-    with it, creating one when none is given), so taking a profile
-    never changes an answer.  View answers, DDL and DML ignore the
-    budgets and the profile — they are bounded by construction.  This is
+    picks the engine path: the guard budgets or a recovery policy other
+    than [fail] run it on the robust engine, so a blown budget walks the
+    fallback chain instead of failing outright and {!last_degradations}
+    reports how many recovery events occurred.  EXPLAIN ANALYZE runs
+    the same path and answers with {!Eval.analyze}'s report, rendered
+    from the run's spans, so profiling never changes an answer or the
+    path that computes it.  View answers, DDL and DML ignore the
+    budgets — they are bounded by construction.  This is
     how the network server's admission controller degrades saturated
     queries instead of shedding them. *)
 

@@ -363,7 +363,10 @@ let test_twoscan_constant_intervals () =
     (Array.to_list (Array.map Interval.to_string cis))
 
 let test_twoscan_buckets_counted () =
-  let _, stats = Two_scan.eval_with_stats Monoid.count (count_of (employed_data ())) in
+  let _, stats =
+    Engine.eval_with_stats Engine.Two_scan Monoid.count
+      (count_of (employed_data ()))
+  in
   Alcotest.(check int) "one bucket per constant interval" 7
     stats.Instrument.allocated
 
@@ -401,7 +404,8 @@ let test_balanced_matches_tree_on_employed_aggregates () =
 
 let test_balanced_node_bytes () =
   let _, stats =
-    Balanced_tree.eval_with_stats Monoid.count (count_of (employed_data ()))
+    Engine.eval_with_stats Engine.Balanced_tree Monoid.count
+      (count_of (employed_data ()))
   in
   Alcotest.(check int) "20-byte nodes" 20 stats.Instrument.node_bytes
 

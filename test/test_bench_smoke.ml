@@ -113,7 +113,8 @@ let test_live_section_json () =
 
 (* The obs section must defend its <3% disarmed-tracing bar and write
    the two observability artifacts next to the --json output: a Chrome
-   trace that names the shard timelines and a Prometheus exposition. *)
+   trace that names the shard timelines and a Prometheus exposition of
+   an instrumented run's engine gauges. *)
 let test_obs_section_artifacts () =
   let dir = Filename.temp_file "tempagg_bench" "" in
   Sys.remove dir;
@@ -144,7 +145,7 @@ let test_obs_section_artifacts () =
       List.iter
         (fun needle ->
           Alcotest.(check bool) needle true (contains metrics_text needle))
-        [ "# TYPE tempagg_profile_peak_bytes gauge"; "tempagg_profile_attempts" ])
+        [ "# TYPE tempagg_engine_peak_bytes gauge"; "tempagg_engine_allocated_nodes" ])
 
 let () =
   Alcotest.run "bench-smoke"

@@ -34,6 +34,16 @@ let check_contains output fragment =
   if not (contains output fragment) then
     Alcotest.fail (Printf.sprintf "output %S lacks %S" output fragment)
 
+(* Occurrences of [needle] in [hay]. *)
+let count hay needle =
+  let lh = String.length hay and ln = String.length needle in
+  let rec go i n =
+    if i + ln > lh then n
+    else if String.sub hay i ln = needle then go (i + ln) (n + 1)
+    else go (i + 1) n
+  in
+  go 0 0
+
 let with_tempdir f =
   let dir = Filename.temp_file "tempagg_cli" "" in
   Sys.remove dir;
@@ -266,9 +276,37 @@ let test_serve_script () =
       check_contains out "select";
       check_contains out "create-view";
       check_contains out "p99-us";
-      check_contains
-        (In_channel.with_open_text slowlog In_channel.input_all)
-        "\"profile\": \"query:")
+      (* Every entry's profile is its statement's span tree; the
+         statements planned against the base relation — a SELECT and a
+         CREATE VIEW — show the plan span's choice and rationale. *)
+      let entries =
+        List.filter
+          (fun l -> String.starts_with ~prefix:"  {\"statement\"" l)
+          (String.split_on_char '\n'
+             (In_channel.with_open_text slowlog In_channel.input_all))
+      in
+      Alcotest.(check int) "one entry per statement" 7 (List.length entries);
+      List.iter
+        (fun e ->
+          check_contains e "\"profile\": \"";
+          check_contains e " ms  request ";
+          check_contains e "  execute ")
+        entries;
+      let planned =
+        List.filter
+          (fun e ->
+            contains e "FROM Employed"
+            && (contains e "\"kind\": \"select\""
+               || contains e "\"kind\": \"create-view\""))
+          entries
+      in
+      Alcotest.(check int) "the CREATE VIEW and the MAX select" 2
+        (List.length planned);
+      List.iter
+        (fun e ->
+          check_contains e "  plan algorithm=";
+          check_contains e " rationale=")
+        planned)
 
 let test_serve_missing_script () =
   with_tempdir (fun dir ->
@@ -335,17 +373,92 @@ let test_query_observability_flags () =
       Alcotest.(check int) "exit 0" 0 code;
       (* The result still prints first. *)
       check_contains out "| [18,20] |";
-      check_contains out "query: SELECT COUNT(Name) FROM Employed";
-      check_contains out "plan: parallel(2,sweep)";
-      check_contains out "attempts:";
-      check_contains out "memory: allocated_nodes=";
-      check_contains out "# TYPE tempagg_profile_peak_bytes gauge";
+      check_contains out "using parallel(2,sweep)";
+      check_contains out "plan algorithm=parallel(2,sweep)";
+      check_contains out "eval algorithm=parallel(2,sweep) allocated_nodes=";
+      check_contains out "# TYPE tempagg_engine_peak_bytes gauge";
       check_contains out "tempagg_io_pages_read";
       Alcotest.(check bool) "trace file written" true (Sys.file_exists trace);
       let json = In_channel.with_open_text trace In_channel.input_all in
       check_contains json "{\"traceEvents\":[";
       check_contains json "\"name\":\"eval\"";
       check_contains json "\"name\":\"shard\"")
+
+(* query --profile reports what the deleted profile carried, read off
+   the run's spans: a k-ordered tree at k=0 aborts on Employed and
+   FALLBACK retries it at k=1. *)
+let test_query_profile_fallback () =
+  let code, out =
+    run
+      [
+        "query"; "--profile";
+        "SELECT COUNT(Name) FROM Employed USING ktree(0) ON ERROR FALLBACK";
+      ]
+  in
+  Alcotest.(check int) "exit 0" 0 code;
+  List.iter (check_contains out)
+    [
+      "using ktree(0) (on error: fallback)"; "why:"; "stats:";
+      "  plan algorithm=ktree(0)"; "  scan shards=";
+      "  attempt algorithm=ktree(0) outcome=\"input not k-ordered";
+      "  eval algorithm=ktree(0) allocated_nodes=";
+      "  attempt algorithm=ktree(1) outcome=ok";
+      "  eval algorithm=ktree(1) allocated_nodes="; "degradations:";
+      "output: 7 segment(s)"; "total:";
+    ];
+  Alcotest.(check int) "two attempts" 2 (count out "  attempt ");
+  Alcotest.(check int) "peak bytes on each eval" 2 (count out " peak_bytes=")
+
+(* The --metrics engine gauges of a profiled run count every node once.
+   A parallel run whose k-ordered shards fail re-runs each failed shard
+   inline with the aggregation tree; that re-run's eval sits inside the
+   attempt's eval, whose instrument already absorbed it. *)
+let test_query_profile_parallel_gauges () =
+  with_tempdir (fun dir ->
+      let csv = unsorted_csv dir in
+      let code, out =
+        run
+          [ "query"; "-r"; "jobs=" ^ csv; "--profile"; "--metrics";
+            "SELECT COUNT(*) FROM jobs USING parallel(2,ktree(0)) ON ERROR \
+             FALLBACK" ]
+      in
+      Alcotest.(check int) "exit 0" 0 code;
+      check_contains out "re-evaluated inline with aggregation-tree";
+      check_contains out "      eval algorithm=aggregation-tree allocated_nodes=";
+      let allocated, peak =
+        match
+          List.find_opt
+            (fun l -> contains l " eval algorithm=parallel(2,ktree(0)) ")
+            (String.split_on_char '\n' out)
+        with
+        | Some l ->
+            Scanf.sscanf l " %f ms eval algorithm=%s allocated_nodes=%d \
+                            peak_bytes=%d"
+              (fun _ _ a p -> (a, p))
+        | None -> Alcotest.failf "no outer eval line in %S" out
+      in
+      Alcotest.(check bool) "the shards allocated" true (allocated > 0);
+      check_contains out
+        (Printf.sprintf "tempagg_engine_allocated_nodes %d\n" allocated);
+      check_contains out (Printf.sprintf "tempagg_engine_peak_bytes %d\n" peak);
+      check_contains out
+        (Printf.sprintf "tempagg_engine_peak_live_nodes %d\n" (peak / 16)))
+
+(* EXPLAIN ANALYZE under a request id an earlier statement already used
+   reports only its own spans, not the earlier statement's. *)
+let test_serve_explain_analyze_reused_trace () =
+  with_tempdir (fun dir ->
+      let script = Filename.concat dir "dup.tsql" in
+      Out_channel.with_open_text script (fun oc ->
+          output_string oc
+            "TRACE dup SELECT COUNT(Name) FROM Employed\n\
+             TRACE dup EXPLAIN ANALYZE SELECT COUNT(Name) FROM Employed\n");
+      let code, out = run [ "serve"; "--script"; script ] in
+      Alcotest.(check int) "exit 0" 0 code;
+      check_contains out "trace=dup";
+      check_contains out "  explain-analyze";
+      Alcotest.(check int) "one plan span" 1 (count out "  plan algorithm=");
+      Alcotest.(check int) "one scan span" 1 (count out "  scan shards="))
 
 (* A METRICS line in a script dumps the exposition at that point. *)
 let test_serve_metrics_line () =
@@ -390,6 +503,11 @@ let () =
           quick "serve --data-dir" test_serve_data_dir;
           quick "query --profile/--metrics/--trace"
             test_query_observability_flags;
+          quick "query --profile fallback report" test_query_profile_fallback;
+          quick "query --profile parallel gauges"
+            test_query_profile_parallel_gauges;
+          quick "serve EXPLAIN ANALYZE under a reused TRACE id"
+            test_serve_explain_analyze_reused_trace;
           quick "serve METRICS line" test_serve_metrics_line;
         ] );
     ]

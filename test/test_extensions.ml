@@ -56,7 +56,8 @@ let test_paged_memory_bounded () =
       (count_seq data ())
   in
   let _, unbounded =
-    Agg_tree.eval_with_stats Monoid.count (count_seq data ())
+    Engine.eval_with_stats Engine.Aggregation_tree Monoid.count
+      (count_seq data ())
   in
   Alcotest.(check bool)
     (Printf.sprintf "peak %d within ~3x budget %d"

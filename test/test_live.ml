@@ -1,7 +1,6 @@
 (* Tests for the live subsystem: incremental materialized views with
-   deletes (Live.View), the versioned snapshots they serve, the
-   staleness-tracked query cache (Live.Cache), and the guarded live
-   evaluation entry point (Live.Engine).
+   deletes (Live.View), the versioned snapshots they serve, and the
+   staleness-tracked query cache (Live.Cache).
 
    The central property: for any random interleaving of inserts, deletes
    and queries, a live view's snapshot is Timeline.equivalent to a batch
@@ -355,44 +354,6 @@ let test_cache_validates_capacity () =
     | _ -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Live.Engine: guarded incremental evaluation                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_eval_live_matches_sweep () =
-  let data = List.to_seq employed in
-  match Live.Engine.eval_live Tempagg.Monoid.count data with
-  | Error e -> Alcotest.failf "unexpected %s" (Tempagg.Engine.error_to_string e)
-  | Ok t ->
-      Alcotest.(check bool)
-        "same as batch" true
-        (Timeline.equivalent Int.equal t (batch Tempagg.Monoid.count employed))
-
-let test_eval_live_budget () =
-  (* Gaps between the tuples keep the segments from coalescing, so the
-     materialized state actually grows past the budget. *)
-  let data =
-    Seq.init 2_000 (fun i -> (iv (3 * i) ((3 * i) + 1), ()))
-  in
-  match Live.Engine.eval_live ~memory_budget:256 Tempagg.Monoid.count data with
-  | Error (Tempagg.Engine.Budget_exhausted _) -> ()
-  | Error e -> Alcotest.failf "wrong error %s" (Tempagg.Engine.error_to_string e)
-  | Ok _ -> Alcotest.fail "expected the budget to trip"
-
-let test_eval_live_deadline () =
-  let data =
-    Seq.init 100_000 (fun i ->
-        (* A little work per element so the deadline check can fire. *)
-        let s = 3 * (i mod 10_000) in
-        (iv s (s + 1), ()))
-  in
-  match
-    Live.Engine.eval_live ~deadline_ms:0.000_001 Tempagg.Monoid.count data
-  with
-  | Error (Tempagg.Engine.Deadline_exhausted _) -> ()
-  | Error e -> Alcotest.failf "wrong error %s" (Tempagg.Engine.error_to_string e)
-  | Ok _ -> Alcotest.fail "expected the deadline to trip"
-
-(* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -433,12 +394,6 @@ let () =
           quick "replace same key" test_cache_replace_same_key;
           quick "clear" test_cache_clear;
           quick "validates capacity" test_cache_validates_capacity;
-        ] );
-      ( "engine",
-        [
-          quick "eval_live = sweep" test_eval_live_matches_sweep;
-          quick "memory budget" test_eval_live_budget;
-          quick "deadline" test_eval_live_deadline;
         ] );
       ("stats", [ quick "reset" test_stats_reset ]);
     ]

@@ -787,105 +787,171 @@ let test_adapters () =
        "tempagg_degradations_total")
 
 (* ------------------------------------------------------------------ *)
-(* Profile                                                             *)
+(* Profiles: what the spans record and how they render                 *)
 (* ------------------------------------------------------------------ *)
+
+(* Run [f] under a root span of its own trace, on an emptied ring; the
+   result and every span the run recorded. *)
+let traced_run trace f =
+  Obs.Trace.clear ();
+  let root = ref 0 in
+  let result =
+    Obs.Trace.with_span ~trace "test-root" (fun () ->
+        root := Option.get (Obs.Trace.current ());
+        f ())
+  in
+  (result, !root, Obs.Trace.recorded ~trace ())
+
+let attr name (s : Obs.Trace.span) = List.assoc_opt name s.attrs
+let int_attr name s = Option.map int_of_string (attr name s)
+
+let labelled label spans =
+  List.filter (fun (s : Obs.Trace.span) -> s.label = label) spans
+
+let children_of spans (p : Obs.Trace.span) =
+  List.filter (fun (s : Obs.Trace.span) -> s.parent = Some p.id) spans
 
 (* A k=1 tree over random input violates the order check, so the chain
    retries with doubled k and finally concedes to the aggregation tree.
-   Every aborted attempt must appear in the profile with its memory
-   numbers — the silent-stats-loss fix. *)
+   Every aborted attempt must keep its outcome and, on its eval span,
+   its memory figures. *)
 let test_profile_covers_aborted_attempts () =
   let data = random_data () in
-  let profile = Obs.Profile.create () in
-  (match
-     Engine.eval_robust ~profile (Engine.Korder_tree { k = 1 }) Monoid.count
-       (count_data data)
-   with
+  let result, root, spans =
+    traced_run "aborted-attempts" (fun () ->
+        Engine.eval_robust (Engine.Korder_tree { k = 1 }) Monoid.count
+          (count_data data))
+  in
+  (match result with
   | Ok (_, degradations) ->
       Alcotest.(check bool) "degraded" true (degradations <> [])
   | Error e -> Alcotest.fail (Engine.error_to_string e));
-  let attempts = Obs.Profile.attempts profile in
+  let attempts = labelled "attempt" spans in
   Alcotest.(check bool) "several attempts" true (List.length attempts >= 2);
-  Alcotest.(check bool) "a failed attempt is recorded" true
-    (List.exists (fun (a : Obs.Profile.attempt) -> a.outcome <> "ok") attempts);
+  let ok a = attr "outcome" a = Some "ok" in
+  Alcotest.(check bool) "every attempt has an outcome" true
+    (List.for_all (fun a -> attr "outcome" a <> None) attempts);
   Alcotest.(check bool) "the last attempt succeeded" true
-    ((List.nth attempts (List.length attempts - 1)).outcome = "ok");
-  (* Aggregates fold the attempts as sequential retries. *)
-  Alcotest.(check int) "allocations sum"
-    (List.fold_left
-       (fun acc (a : Obs.Profile.attempt) -> acc + a.allocated_nodes)
-       0 attempts)
-    (Obs.Profile.allocated_nodes profile);
-  Alcotest.(check int) "peak is the max"
-    (List.fold_left
-       (fun acc (a : Obs.Profile.attempt) -> max acc a.peak_bytes)
-       0 attempts)
-    (Obs.Profile.peak_bytes profile);
-  Alcotest.(check bool) "degradations mirrored" true
-    (Obs.Profile.degradations profile <> []);
-  let text = Obs.Profile.to_string profile in
-  check_contains "attempts section" text "attempts:";
-  check_contains "memory line" text "memory: allocated_nodes="
+    (ok (List.nth attempts (List.length attempts - 1)));
+  List.iter
+    (fun a ->
+      match labelled "eval" (children_of spans a) with
+      | [ e ] ->
+          Alcotest.(check bool) "allocated_nodes kept" true
+            (int_attr "allocated_nodes" e <> None);
+          Alcotest.(check bool) "peak_bytes kept" true
+            (int_attr "peak_bytes" e <> None)
+      | es -> Alcotest.failf "attempt with %d eval spans" (List.length es))
+    attempts;
+  Alcotest.(check bool) "an aborted attempt's allocations survive" true
+    (List.exists
+       (fun a ->
+         (not (ok a))
+         && List.exists
+              (fun e -> Option.value (int_attr "allocated_nodes" e) ~default:0 > 0)
+              (labelled "eval" (children_of spans a)))
+       attempts);
+  let text = Obs.Trace.tree_to_string ~root spans in
+  check_contains "attempt line" text "attempt algorithm=ktree(1) outcome=";
+  check_contains "eval figures" text "allocated_nodes=";
+  check_contains "final outcome" text "outcome=ok"
 
-(* On a clean single-attempt run the profile's peak_bytes must equal
+(* On a clean single-attempt run the eval span's figures must equal
    what eval_with_stats reports for the same evaluation, exactly.  The
    sweep case runs at the acceptance scale (100k tuples). *)
 let test_profile_peak_bytes_exact () =
   List.iter
     (fun (n, algorithm) ->
       let data = random_data ~n ~seed:4 () in
-      let profile = Obs.Profile.create () in
-      (match
-         Engine.eval_robust ~profile algorithm Monoid.count (count_data data)
-       with
+      let result, _, spans =
+        traced_run ("exact-" ^ Engine.name algorithm) (fun () ->
+            Engine.eval_robust algorithm Monoid.count (count_data data))
+      in
+      (match result with
       | Ok (_, []) -> ()
       | Ok (_, _ :: _) -> Alcotest.fail "unexpected degradation"
       | Error e -> Alcotest.fail (Engine.error_to_string e));
+      let eval =
+        match labelled "eval" spans with
+        | [ e ] -> e
+        | es -> Alcotest.failf "%d eval spans" (List.length es)
+      in
       let _, stats =
         Engine.eval_with_stats algorithm Monoid.count (count_data data)
       in
-      Alcotest.(check int)
+      Alcotest.(check (option int))
         (Engine.name algorithm ^ " peak bytes")
-        stats.Instrument.peak_bytes
-        (Obs.Profile.peak_bytes profile);
-      Alcotest.(check int)
+        (Some stats.Instrument.peak_bytes)
+        (int_attr "peak_bytes" eval);
+      Alcotest.(check (option int))
         (Engine.name algorithm ^ " allocated")
-        stats.Instrument.allocated
-        (Obs.Profile.allocated_nodes profile))
+        (Some stats.Instrument.allocated)
+        (int_attr "allocated_nodes" eval))
     [ (100_000, Engine.Sweep); (3000, Engine.Aggregation_tree) ]
 
+let span ?parent ?(attrs = []) id start stop label =
+  {
+    Obs.Trace.id;
+    parent;
+    label;
+    trace = "t";
+    domain = 0;
+    start_us = start;
+    stop_us = stop;
+    attrs;
+  }
+
+(* The one renderer: durations are the spans' own, children sit under
+   their parent in start order, and only the root's own tree is shown. *)
 let test_profile_report_fields () =
-  let p = Obs.Profile.create () in
-  Obs.Profile.set_query p "SELECT COUNT(*) FROM r";
-  Obs.Profile.set_plan p ~algorithm:"sweep" ~rationale:"because";
-  Obs.Profile.set_k_estimate p 8;
-  Obs.Profile.set_tuples p 100;
-  Obs.Profile.set_segments p 42;
-  Obs.Profile.set_io p ~pages_read:3 ~pages_written:0 ~retries:1
-    ~corrupt_pages:0;
-  Obs.Profile.add_phase p "evaluate" 1.5;
-  Obs.Profile.add_phase p "evaluate" 0.5;
-  Obs.Profile.set_total_ms p 2.5;
-  let text = Obs.Profile.to_string p in
-  List.iter
-    (fun needle -> check_contains "report" text needle)
+  let spans =
     [
-      "query: SELECT COUNT(*) FROM r";
-      "plan: sweep";
-      "why: because";
-      "k estimate: 8";
-      "input: 100 tuple(s)";
-      "output: 42 segment(s)";
-      "evaluate";
-      "2.000 ms";
-      "io: pages_read=3";
-      "total: 2.500 ms";
-    ];
-  let r = Obs.Metrics.create () in
-  Obs.Profile.to_metrics r p;
-  Alcotest.(check (option (float 0.)))
-    "segments gauge" (Some 42.)
-    (Obs.Metrics.value r "tempagg_profile_segments")
+      span 3 ~parent:1 1500 2500 "eval"
+        ~attrs:[ ("allocated_nodes", "12"); ("peak_bytes", "192") ];
+      span 1 0 2500 "explain-analyze";
+      span 2 ~parent:1 1000 1500 "plan"
+        ~attrs:[ ("algorithm", "sweep"); ("rationale", "COUNT is invertible") ];
+      span 4 ~parent:3 1600 2400 "shard" ~attrs:[ ("shard", "0") ];
+      span 9 5000 6000 "other";
+    ]
+  in
+  Alcotest.(check string) "rooted tree"
+    "    2.500 ms  explain-analyze\n\
+    \    0.500 ms    plan algorithm=sweep rationale=\"COUNT is invertible\"\n\
+    \    1.000 ms    eval allocated_nodes=12 peak_bytes=192\n\
+    \    0.800 ms      shard shard=0\n"
+    (Obs.Trace.tree_to_string ~root:1 spans)
+
+(* The engine gauges fold only the outermost evals: a shard's eval and
+   an eval re-run inside another eval were absorbed by the enclosing
+   instrument.  The largest peak wins, over its own algorithm's node
+   size. *)
+let test_snapshot_of_spans () =
+  let eval ?parent id algorithm allocated peak =
+    span ?parent id 0 1 "eval"
+      ~attrs:
+        [ ("algorithm", algorithm); ("allocated_nodes", string_of_int allocated);
+          ("peak_bytes", string_of_int peak) ]
+  in
+  let spans =
+    [
+      span 1 0 9 "attempt";
+      eval ~parent:1 2 "balanced-tree" 50 1000;
+      span 3 0 9 "attempt";
+      eval ~parent:3 4 "parallel(2,ktree(0))" 30 480;
+      span ~parent:4 5 0 1 "shard";
+      eval ~parent:5 6 "ktree(0)" 7 112;
+      eval ~parent:4 7 "aggregation-tree" 23 368;
+    ]
+  in
+  let s = Engine.snapshot_of_spans spans in
+  Alcotest.(check int) "allocations of the two attempts" 80
+    s.Instrument.allocated;
+  Alcotest.(check int) "largest peak" 1000 s.Instrument.peak_bytes;
+  Alcotest.(check int) "its node size" 20 s.Instrument.node_bytes;
+  Alcotest.(check int) "its live nodes" 50 s.Instrument.peak_live;
+  Alcotest.(check int) "nothing recorded" 0
+    (Engine.snapshot_of_spans []).Instrument.allocated
 
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN ANALYZE and the server's per-kind metrics                   *)
@@ -905,8 +971,8 @@ let test_explain_analyze () =
   | Ok (Tsql.Session.Ack report) ->
       List.iter
         (fun needle -> check_contains "profile report" report needle)
-        [ "query:"; "plan:"; "why:"; "attempts:"; "memory: allocated_nodes=";
-          "output:"; "total:" ]
+        [ "scan Employed"; "why:"; "stats:"; "spans:"; "explain-analyze";
+          "eval algorithm="; "allocated_nodes="; "output:"; "total:" ]
   | Ok (Tsql.Session.Rows _) -> Alcotest.fail "expected an Ack"
   | Error msg -> Alcotest.fail msg);
   (* Views answer from materialized timelines, so there is nothing to
@@ -920,6 +986,97 @@ let test_explain_analyze () =
   match Tsql.Session.exec s "EXPLAIN ANALYZE SELECT COUNT(*) FROM ea" with
   | Ok _ -> Alcotest.fail "EXPLAIN ANALYZE on a view should fail"
   | Error msg -> check_contains "view error" msg "is a view"
+
+(* The lines of an EXPLAIN ANALYZE span tree whose span is [label]. *)
+let span_lines label report =
+  List.filter
+    (fun line ->
+      match String.index_opt line 'm' with
+      | Some i when String.length line > i + 3 && String.sub line i 3 = "ms " ->
+          let rest = String.trim (String.sub line (i + 3) (String.length line - i - 3)) in
+          rest = label || String.starts_with ~prefix:(label ^ " ") rest
+      | _ -> false)
+    (String.split_on_char '\n' report)
+
+(* Everything the deleted profile carried, now read off the statement's
+   spans: a k-ordered tree at k=0 over Employed (not time-ordered)
+   aborts, and FALLBACK retries it at k=1. *)
+let check_fallback_report report =
+  List.iter
+    (check_contains "plan text" report)
+    [ "using ktree(0) (on error: fallback)"; "why:"; "stats:";
+      "output: 7 segment(s)"; "total:"; "degradations:";
+      "ktree(0): input not k-ordered" ];
+  Alcotest.(check bool) "no span of the run lost" false
+    (contains report "dropped (ring full)");
+  Alcotest.(check int) "one plan line" 1 (List.length (span_lines "plan" report));
+  Alcotest.(check int) "one scan line" 1 (List.length (span_lines "scan" report));
+  (match span_lines "attempt" report with
+  | [ first; second ] ->
+      check_contains "first attempt outcome" first "outcome=";
+      Alcotest.(check bool) "first attempt failed" false
+        (contains first "outcome=ok");
+      check_contains "second attempt succeeded" second "outcome=ok"
+  | lines -> Alcotest.failf "%d attempt lines in:\n%s" (List.length lines) report);
+  match span_lines "eval" report with
+  | [ _; _ ] as evals ->
+      List.iter
+        (fun e ->
+          check_contains "eval nodes" e "allocated_nodes=";
+          check_contains "eval bytes" e "peak_bytes=")
+        evals
+  | lines -> Alcotest.failf "%d eval lines in:\n%s" (List.length lines) report
+
+let fallback_query =
+  "SELECT COUNT(Name) FROM Employed USING ktree(0) ON ERROR FALLBACK"
+
+let test_explain_analyze_spans () =
+  let s = Tsql.Session.create (Tsql.Catalog.with_builtins ()) in
+  match Tsql.Session.exec s ("EXPLAIN ANALYZE " ^ fallback_query) with
+  | Ok (Tsql.Session.Ack report) -> check_fallback_report report
+  | Ok (Tsql.Session.Rows _) -> Alcotest.fail "expected an Ack"
+  | Error msg -> Alcotest.fail msg
+
+(* With the ring off there are no spans to render, but the plan and the
+   answer's size still come back, and the report says why the rest is
+   missing. *)
+let test_explain_analyze_ring_off () =
+  let s = Tsql.Session.create (Tsql.Catalog.with_builtins ()) in
+  Obs.Trace.set_ring_capacity 0;
+  let reply =
+    Fun.protect
+      ~finally:(fun () -> Obs.Trace.set_ring_capacity 2048)
+      (fun () -> Tsql.Session.exec s ("EXPLAIN ANALYZE " ^ fallback_query))
+  in
+  match reply with
+  | Ok (Tsql.Session.Ack report) ->
+      List.iter
+        (check_contains "ring-off report" report)
+        [ "using ktree(0) (on error: fallback)"; "spans: none recorded";
+          "output: 7 segment(s)" ];
+      Alcotest.(check int) "no attempt lines" 0
+        (List.length (span_lines "attempt" report))
+  | Ok (Tsql.Session.Rows _) -> Alcotest.fail "expected an Ack"
+  | Error msg -> Alcotest.fail msg
+
+(* A run that overflows the ring loses its own early spans; the report
+   says so instead of passing off a partial tree as whole. *)
+let test_explain_analyze_ring_overflow () =
+  let s = Tsql.Session.create (Tsql.Catalog.with_builtins ()) in
+  Obs.Trace.set_ring_capacity 3;
+  let reply =
+    Fun.protect
+      ~finally:(fun () -> Obs.Trace.set_ring_capacity 2048)
+      (fun () -> Tsql.Session.exec s ("EXPLAIN ANALYZE " ^ fallback_query))
+  in
+  match reply with
+  | Ok (Tsql.Session.Ack report) ->
+      List.iter
+        (check_contains "overflow report" report)
+        [ "using ktree(0) (on error: fallback)"; " dropped (ring full)";
+          "output: 7 segment(s)" ]
+  | Ok (Tsql.Session.Rows _) -> Alcotest.fail "expected an Ack"
+  | Error msg -> Alcotest.fail msg
 
 (* The server's per-kind latency histograms and error counters, read
    mid-run through METRICS (with the asking connection's session
@@ -1087,10 +1244,18 @@ let () =
           Alcotest.test_case "peak bytes exact" `Quick
             test_profile_peak_bytes_exact;
           Alcotest.test_case "report fields" `Quick test_profile_report_fields;
+          Alcotest.test_case "engine gauges from spans" `Quick
+            test_snapshot_of_spans;
         ] );
       ( "tsql",
         [
           Alcotest.test_case "explain analyze" `Quick test_explain_analyze;
+          Alcotest.test_case "explain analyze from spans" `Quick
+            test_explain_analyze_spans;
+          Alcotest.test_case "explain analyze, ring off" `Quick
+            test_explain_analyze_ring_off;
+          Alcotest.test_case "explain analyze, ring overflow" `Quick
+            test_explain_analyze_ring_overflow;
           Alcotest.test_case "serve metrics" `Quick test_serve_metrics;
         ] );
       ( "overhead",

@@ -35,12 +35,11 @@ let perturbed_relation ~n ~k =
   Relation.Trel.of_array (Relation.Trel.schema sorted) tuples
 
 let outcome ?(cardinality = 100) ?(algorithm = "tree") ?(elapsed_ms = 1.)
-    ?(peak_bytes = 0) ?k_observed ?segments ?(degradations = 0) () =
+    ?k_observed ?segments ?(degradations = 0) () =
   {
     Obs.Stats.cardinality;
     algorithm;
     elapsed_ms;
-    peak_bytes;
     k_observed;
     segments;
     degradations;
@@ -328,8 +327,19 @@ let test_serve_slowlog_capture () =
        ]);
   Alcotest.(check int) "threshold 0 captures everything" 3
     (Obs.Slowlog.hits log);
-  (* Slow SELECTs against base relations carry their own run's profile
-     and the labels of their pinned trace. *)
+  (* Every entry carries its pinned trace as a span tree, whatever the
+     kind; a SELECT's tree says which plan ran and why. *)
+  let detail e =
+    match e.Obs.Slowlog.detail with
+    | Some text -> text
+    | None -> Alcotest.fail "entry lost its span tree"
+  in
+  List.iter
+    (fun e ->
+      check_contains "span tree attached" (detail e) "  execute ";
+      Alcotest.(check bool) "span labels from the pinned trace" true
+        (List.mem "execute" e.Obs.Slowlog.span_labels))
+    (Obs.Slowlog.entries log);
   let selects =
     List.filter
       (fun e -> e.Obs.Slowlog.kind = "select")
@@ -338,15 +348,12 @@ let test_serve_slowlog_capture () =
   Alcotest.(check int) "two selects" 2 (List.length selects);
   List.iter
     (fun e ->
-      (match e.Obs.Slowlog.detail with
-      | Some text -> check_contains "profile attached" text "plan: "
-      | None -> Alcotest.fail "select entry lost its profile");
-      Alcotest.(check bool) "span labels from the pinned trace" true
-        (List.mem "execute" e.Obs.Slowlog.span_labels))
+      check_contains "plan choice" (detail e) "  plan algorithm=";
+      check_contains "plan rationale" (detail e) " rationale=")
     selects;
   Alcotest.(check bool) "worst kept" true (Obs.Slowlog.worst log <> None);
   check_contains "json round-trips" (Obs.Slowlog.to_json log)
-    "\"profile\": \"query:"
+    " ms  request "
 
 let () =
   Alcotest.run "stats"

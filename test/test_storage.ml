@@ -299,134 +299,6 @@ let test_sort_then_ktree_pipeline () =
         (Timeline.equal Int.equal timeline expected))
 
 
-(* ------------------------------------------------------------------ *)
-(* Buffer pool                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_pool_basic () =
-  let pool = Buffer_pool.create ~capacity:2 in
-  Buffer_pool.insert pool ("f", 0) (Bytes.of_string "page0");
-  Alcotest.(check (option string)) "hit" (Some "page0")
-    (Option.map Bytes.to_string (Buffer_pool.find pool ("f", 0)));
-  Alcotest.(check bool) "miss" true (Buffer_pool.find pool ("f", 1) = None);
-  Alcotest.(check int) "hits" 1 (Buffer_pool.hits pool);
-  Alcotest.(check int) "misses" 1 (Buffer_pool.misses pool)
-
-let test_pool_lru_eviction () =
-  let pool = Buffer_pool.create ~capacity:2 in
-  Buffer_pool.insert pool ("f", 0) (Bytes.of_string "a");
-  Buffer_pool.insert pool ("f", 1) (Bytes.of_string "b");
-  ignore (Buffer_pool.find pool ("f", 0));
-  (* page 1 is now LRU *)
-  Buffer_pool.insert pool ("f", 2) (Bytes.of_string "c");
-  Alcotest.(check bool) "page0 kept" true (Buffer_pool.find pool ("f", 0) <> None);
-  Alcotest.(check bool) "page1 evicted" true (Buffer_pool.find pool ("f", 1) = None);
-  Alcotest.(check int) "length" 2 (Buffer_pool.length pool)
-
-let test_pool_copies_pages () =
-  let pool = Buffer_pool.create ~capacity:2 in
-  let page = Bytes.of_string "mutate-me" in
-  Buffer_pool.insert pool ("f", 0) page;
-  Bytes.set page 0 'X';
-  Alcotest.(check (option string)) "unaffected" (Some "mutate-me")
-    (Option.map Bytes.to_string (Buffer_pool.find pool ("f", 0)))
-
-let test_pool_invalidate_file () =
-  let pool = Buffer_pool.create ~capacity:4 in
-  Buffer_pool.insert pool ("f", 0) (Bytes.of_string "a");
-  Buffer_pool.insert pool ("g", 0) (Bytes.of_string "b");
-  Buffer_pool.invalidate_file pool "f";
-  Alcotest.(check bool) "f gone" true (Buffer_pool.find pool ("f", 0) = None);
-  Alcotest.(check bool) "g kept" true (Buffer_pool.find pool ("g", 0) <> None)
-
-let test_pool_invalidate_multiple_pages () =
-  let pool = Buffer_pool.create ~capacity:8 in
-  for p = 0 to 3 do
-    Buffer_pool.insert pool ("f", p) (Bytes.of_string (string_of_int p))
-  done;
-  Buffer_pool.insert pool ("g", 0) (Bytes.of_string "keep");
-  Buffer_pool.invalidate_file pool "f";
-  Alcotest.(check int) "only g's page remains" 1 (Buffer_pool.length pool);
-  for p = 0 to 3 do
-    Alcotest.(check bool)
-      (Printf.sprintf "f page %d gone" p)
-      true
-      (Buffer_pool.find pool ("f", p) = None)
-  done;
-  Alcotest.(check bool) "g untouched" true
-    (Buffer_pool.find pool ("g", 0) <> None)
-
-let test_pool_invalidate_missing_file_is_noop () =
-  let pool = Buffer_pool.create ~capacity:2 in
-  Buffer_pool.insert pool ("f", 0) (Bytes.of_string "a");
-  Buffer_pool.invalidate_file pool "nonexistent";
-  Alcotest.(check int) "nothing dropped" 1 (Buffer_pool.length pool);
-  let empty = Buffer_pool.create ~capacity:2 in
-  Buffer_pool.invalidate_file empty "f";
-  Alcotest.(check int) "empty pool unchanged" 0 (Buffer_pool.length empty)
-
-let test_pool_reinsert_after_invalidate () =
-  let pool = Buffer_pool.create ~capacity:2 in
-  Buffer_pool.insert pool ("f", 0) (Bytes.of_string "stale");
-  Buffer_pool.invalidate_file pool "f";
-  Buffer_pool.insert pool ("f", 0) (Bytes.of_string "fresh");
-  Alcotest.(check (option string)) "fresh copy served" (Some "fresh")
-    (Option.map Bytes.to_string (Buffer_pool.find pool ("f", 0)));
-  (* Eviction order must be consistent after the invalidation: the pool
-     holds one page, inserting two more evicts only the oldest. *)
-  Buffer_pool.insert pool ("g", 0) (Bytes.of_string "b");
-  Buffer_pool.insert pool ("g", 1) (Bytes.of_string "c");
-  Alcotest.(check int) "capacity respected" 2 (Buffer_pool.length pool);
-  Alcotest.(check bool) "oldest evicted" true
-    (Buffer_pool.find pool ("f", 0) = None)
-
-let test_pool_validation () =
-  Alcotest.(check bool) "capacity" true
-    (match Buffer_pool.create ~capacity:0 with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
-
-(* Tuma's two scans: with a pool big enough for the relation, the second
-   scan costs no disk reads. *)
-let test_pool_second_scan_free () =
-  with_temp (fun path ->
-      let stats = Io_stats.create () in
-      Heap_file.write_relation ~stats path
-        (Trel.create schema (sample_tuples 300));
-      Io_stats.reset stats;
-      let pool = Buffer_pool.create ~capacity:64 in
-      let r = Heap_file.open_reader ~stats path in
-      let pages = Heap_file.data_pages r in
-      ignore (List.of_seq (Heap_file.scan ~pool r));
-      let after_first = Io_stats.pages_read stats in
-      Alcotest.(check int) "first scan reads from disk" (1 + pages) after_first;
-      ignore (List.of_seq (Heap_file.scan ~pool r));
-      Alcotest.(check int) "second scan free" after_first
-        (Io_stats.pages_read stats);
-      Heap_file.close_reader r)
-
-let test_pool_too_small_to_help () =
-  with_temp (fun path ->
-      let stats = Io_stats.create () in
-      Heap_file.write_relation ~stats path
-        (Trel.create schema (sample_tuples 300));
-      Io_stats.reset stats;
-      (* One-page pool on a multi-page sequential scan: every page of the
-         second scan misses again. *)
-      let pool = Buffer_pool.create ~capacity:1 in
-      let r = Heap_file.open_reader ~stats path in
-      let pages = Heap_file.data_pages r in
-      Alcotest.(check bool) "multi-page file" true (pages > 1);
-      ignore (List.of_seq (Heap_file.scan ~pool r));
-      let after_first = Io_stats.pages_read stats in
-      ignore (List.of_seq (Heap_file.scan ~pool r));
-      (* Sequential re-scan with a one-page pool: page 0 evicts the only
-         cached page before it is ever reused — every page misses again. *)
-      Alcotest.(check int) "second scan re-reads everything"
-        (after_first + pages)
-        (Io_stats.pages_read stats);
-      Heap_file.close_reader r)
-
 let quick name f = Alcotest.test_case name `Quick f
 
 let () =
@@ -453,21 +325,6 @@ let () =
           quick "bad magic rejected" test_heap_bad_magic;
           quick "append after close rejected"
             test_heap_writer_after_close_rejected;
-        ] );
-      ( "buffer-pool",
-        [
-          quick "find/insert" test_pool_basic;
-          quick "LRU eviction" test_pool_lru_eviction;
-          quick "pages are copied" test_pool_copies_pages;
-          quick "invalidate file" test_pool_invalidate_file;
-          quick "invalidate drops every page of the file"
-            test_pool_invalidate_multiple_pages;
-          quick "invalidate unknown file is a no-op"
-            test_pool_invalidate_missing_file_is_noop;
-          quick "reinsert after invalidate" test_pool_reinsert_after_invalidate;
-          quick "validation" test_pool_validation;
-          quick "second scan free with big pool" test_pool_second_scan_free;
-          quick "tiny pool does not help" test_pool_too_small_to_help;
         ] );
       ( "external-sort",
         [

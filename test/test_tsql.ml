@@ -336,6 +336,28 @@ let test_eval_ktree_hint_on_unsorted_fails_cleanly () =
      not a wrong answer. *)
   expect_error "SELECT COUNT(*) FROM Employed USING ktree(0)" "not k-ordered"
 
+(* [Eval.run] takes [execute]'s engine path: a FALLBACK plan walks the
+   recovery chain instead of raising the order violation a plain
+   [Engine.eval] would. *)
+let test_eval_run_follows_on_error () =
+  let plan_of q =
+    match Tsql.Parser.parse q with
+    | Error m -> Alcotest.fail m
+    | Ok ast -> (
+        match Tsql.Eval.plan catalog ast with
+        | Ok p -> p
+        | Error m -> Alcotest.fail m)
+  in
+  let text q = Tsql.Pretty.result_to_string (Tsql.Eval.run (plan_of q)) in
+  Alcotest.(check string) "the aggregation tree's answer"
+    (text "SELECT COUNT(*) FROM Employed USING aggregation_tree")
+    (text "SELECT COUNT(*) FROM Employed USING ktree(0) ON ERROR FALLBACK");
+  match Tsql.Eval.run (plan_of "SELECT COUNT(*) FROM Employed USING ktree(0)") with
+  | _ -> Alcotest.fail "a FAIL plan over unsorted input must raise"
+  | exception Failure msg ->
+      Alcotest.(check bool) ("engine error: " ^ msg) true
+        (contains msg "not k-ordered")
+
 let test_eval_empty_relation () =
   let empty =
     Trel.create (Schema.of_pairs [ ("x", Value.Tint) ]) []
@@ -880,6 +902,7 @@ let () =
           quick "results coalesced" test_eval_coalescing;
           quick "bad ktree hint fails cleanly"
             test_eval_ktree_hint_on_unsorted_fails_cleanly;
+          quick "run follows ON ERROR" test_eval_run_follows_on_error;
           quick "DURING window" test_eval_during_window;
           quick "DURING unbounded" test_eval_during_unbounded;
           quick "DURING with GROUP BY" test_eval_during_with_group_by;
